@@ -61,8 +61,8 @@ Bytes StatusAttrReply(Status status, const nfs3::Fattr& attr) {
 AfsServer::AfsServer(sim::Scheduler& sched, memfs::MemFs& fs, rpc::RpcNode& node)
     : sched_(sched), fs_(fs), node_(node) {
   auto bind = [this, &node](AfsProc proc,
-                            sim::Task<Bytes> (AfsServer::*method)(rpc::CallContext,
-                                                                  rpc::Body)) {
+                            sim::Task<rpc::Body> (AfsServer::*method)(
+                                rpc::CallContext, rpc::Body)) {
     node.RegisterHandler(kAfsProgram, proc,
                          [this, method](rpc::CallContext ctx, rpc::Body args) {
                            return (this->*method)(ctx, std::move(args));
@@ -113,7 +113,7 @@ sim::Task<void> AfsServer::BreakPromises(std::string path, net::Address mutator)
   }
 }
 
-sim::Task<Bytes> AfsServer::HandleFetchStatus(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> AfsServer::HandleFetchStatus(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.fetches;
   xdr::Decoder dec(args);
   auto path = dec.GetString();
@@ -127,7 +127,7 @@ sim::Task<Bytes> AfsServer::HandleFetchStatus(rpc::CallContext ctx, rpc::Body ar
   co_return StatusAttrReply(Status::kOk, nfs3::ToFattr(*attr));
 }
 
-sim::Task<Bytes> AfsServer::HandleFetchData(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> AfsServer::HandleFetchData(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.fetches;
   xdr::Decoder dec(args);
   auto path = dec.GetString();
@@ -147,7 +147,7 @@ sim::Task<Bytes> AfsServer::HandleFetchData(rpc::CallContext ctx, rpc::Body args
   co_return enc.Take();
 }
 
-sim::Task<Bytes> AfsServer::HandleStoreData(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> AfsServer::HandleStoreData(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.stores;
   xdr::Decoder dec(args);
   auto path = dec.GetString();
@@ -167,7 +167,7 @@ sim::Task<Bytes> AfsServer::HandleStoreData(rpc::CallContext ctx, rpc::Body args
   co_return StatusReply(Status::kOk);
 }
 
-sim::Task<Bytes> AfsServer::HandleCreate(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> AfsServer::HandleCreate(rpc::CallContext ctx, rpc::Body args) {
   xdr::Decoder dec(args);
   auto path = dec.GetString();
   if (!path) co_return StatusReply(Status::kInval);
@@ -181,7 +181,7 @@ sim::Task<Bytes> AfsServer::HandleCreate(rpc::CallContext ctx, rpc::Body args) {
   co_return StatusReply(Status::kOk);
 }
 
-sim::Task<Bytes> AfsServer::HandleRemove(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> AfsServer::HandleRemove(rpc::CallContext ctx, rpc::Body args) {
   xdr::Decoder dec(args);
   auto path = dec.GetString();
   if (!path) co_return StatusReply(Status::kInval);
@@ -195,7 +195,7 @@ sim::Task<Bytes> AfsServer::HandleRemove(rpc::CallContext ctx, rpc::Body args) {
   co_return StatusReply(Status::kOk);
 }
 
-sim::Task<Bytes> AfsServer::HandleLink(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> AfsServer::HandleLink(rpc::CallContext ctx, rpc::Body args) {
   xdr::Decoder dec(args);
   auto target = dec.GetString();
   auto newpath = target ? dec.GetString()
@@ -214,7 +214,7 @@ sim::Task<Bytes> AfsServer::HandleLink(rpc::CallContext ctx, rpc::Body args) {
   co_return StatusReply(Status::kOk);
 }
 
-sim::Task<Bytes> AfsServer::HandleMkdir(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> AfsServer::HandleMkdir(rpc::CallContext ctx, rpc::Body args) {
   xdr::Decoder dec(args);
   auto path = dec.GetString();
   if (!path) co_return StatusReply(Status::kInval);
@@ -227,7 +227,7 @@ sim::Task<Bytes> AfsServer::HandleMkdir(rpc::CallContext ctx, rpc::Body args) {
   co_return StatusReply(Status::kOk);
 }
 
-sim::Task<Bytes> AfsServer::HandleRmdir(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> AfsServer::HandleRmdir(rpc::CallContext ctx, rpc::Body args) {
   xdr::Decoder dec(args);
   auto path = dec.GetString();
   if (!path) co_return StatusReply(Status::kInval);
@@ -240,7 +240,7 @@ sim::Task<Bytes> AfsServer::HandleRmdir(rpc::CallContext ctx, rpc::Body args) {
   co_return StatusReply(Status::kOk);
 }
 
-sim::Task<Bytes> AfsServer::HandleListDir(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> AfsServer::HandleListDir(rpc::CallContext ctx, rpc::Body args) {
   xdr::Decoder dec(args);
   auto path = dec.GetString();
   if (!path) co_return StatusReply(Status::kInval);
@@ -270,7 +270,7 @@ AfsClient::AfsClient(sim::Scheduler& sched, rpc::RpcNode& node, net::Address ser
                        });
 }
 
-sim::Task<Bytes> AfsClient::HandleCallbackBreak(rpc::CallContext, rpc::Body args) {
+sim::Task<rpc::Body> AfsClient::HandleCallbackBreak(rpc::CallContext, rpc::Body args) {
   ++breaks_received_;
   xdr::Decoder dec(args);
   auto path = dec.GetString();

@@ -56,15 +56,15 @@ class AfsServer {
   const AfsServerStats& stats() const { return stats_; }
 
  private:
-  sim::Task<Bytes> HandleFetchStatus(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleFetchData(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleStoreData(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleCreate(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRemove(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleLink(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleMkdir(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRmdir(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleListDir(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleFetchStatus(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleFetchData(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleStoreData(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleCreate(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleRemove(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleLink(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleMkdir(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleRmdir(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleListDir(rpc::CallContext ctx, rpc::Body args);
 
   void AddPromise(const std::string& path, net::Address client);
   /// Breaks every other client's promise on `path` (awaited: AFS breaks
@@ -127,7 +127,7 @@ class AfsClient : public kclient::Vfs {
     bool dirty = false;
   };
 
-  sim::Task<Bytes> HandleCallbackBreak(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleCallbackBreak(rpc::CallContext ctx, rpc::Body args);
   /// Status via cache or FETCHSTATUS RPC. nullopt = transport failure.
   sim::Task<kclient::VfsResult<CachedStatus>> FetchStatus(std::string path);
 

@@ -155,8 +155,8 @@ void InvAggregator::EscalateForce(std::uint64_t upstream_timestamp) {
 // Downstream: GETINV service, mirroring ProxyServer::HandleGetInv
 // ---------------------------------------------------------------------------
 
-sim::Task<Bytes> InvAggregator::HandleGetInv(rpc::CallContext ctx,
-                                             rpc::Body args) {
+sim::Task<rpc::Body> InvAggregator::HandleGetInv(rpc::CallContext ctx,
+                                                 rpc::Body args) {
   ++stats_.getinv_served;
   const auto& tr = node_.tracer();
   const HostId host = node_.address().host;

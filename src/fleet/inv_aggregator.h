@@ -127,7 +127,7 @@ class InvAggregator {
     bool overflowed = false;
   };
 
-  sim::Task<Bytes> HandleGetInv(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleGetInv(rpc::CallContext ctx, rpc::Body args);
 
   sim::Task<void> PollLoop();
   sim::Task<void> PollShardOnce(std::size_t shard_index);

@@ -1,6 +1,7 @@
 #include "gvfs/disk_cache.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace gvfs::proxy {
 
@@ -36,15 +37,7 @@ void DiskCache::ObserveMtime(const nfs3::Fh& fh, SimTime mtime, std::uint64_t si
   auto it = files_.find(fh);
   if (it == files_.end()) return;
   if (!own_write && mtime != it->second.mtime_seen) {
-    auto& blocks = it->second.blocks;
-    for (auto b = blocks.begin(); b != blocks.end();) {
-      if (!b->second.dirty) {
-        cached_bytes_ -= b->second.data.size();
-        b = blocks.erase(b);
-      } else {
-        ++b;
-      }
-    }
+    DropCleanBlocks(it->second);
     it->second.size_seen = size;
   }
   it->second.mtime_seen = mtime;
@@ -59,6 +52,12 @@ const nfs3::Fh* DiskCache::ValidLookup(const nfs3::Fh& dir,
   if (it == lookups_.end()) return nullptr;
   if (it->second.dir_mtime != dir_attr->attr.mtime) return nullptr;  // stale
   return &it->second.child;
+}
+
+const nfs3::Fh* DiskCache::AnyLookup(const nfs3::Fh& dir,
+                                     const std::string& name) const {
+  auto it = lookups_.find({dir, name});
+  return it == lookups_.end() ? nullptr : &it->second.child;
 }
 
 void DiskCache::StoreLookup(const nfs3::Fh& dir, const std::string& name,
@@ -97,7 +96,7 @@ const DiskCache::Block* DiskCache::FindBlock(const nfs3::Fh& fh,
   return b == it->second.blocks.end() ? nullptr : &b->second;
 }
 
-void DiskCache::StoreBlock(const nfs3::Fh& fh, std::uint64_t index, Bytes data,
+void DiskCache::StoreBlock(const nfs3::Fh& fh, std::uint64_t index, BlockRef data,
                            bool dirty) {
   auto& block = files_[fh].blocks[index];
   cached_bytes_ -= block.data.size();
@@ -107,14 +106,18 @@ void DiskCache::StoreBlock(const nfs3::Fh& fh, std::uint64_t index, Bytes data,
 }
 
 void DiskCache::WriteIntoBlock(const nfs3::Fh& fh, std::uint64_t index,
-                               std::uint64_t in_block, const Bytes& data) {
+                               std::uint64_t in_block, const BlockRef& data) {
   auto& block = files_[fh].blocks[index];
-  if (block.data.size() < in_block + data.size()) {
-    cached_bytes_ += in_block + data.size() - block.data.size();
-    block.data.resize(in_block + data.size(), 0);
+  cached_bytes_ -= block.data.size();
+  if (in_block == 0 && data.size() >= block.data.size()) {
+    block.data = data;
+  } else {
+    const std::size_t size =
+        std::max<std::uint64_t>(block.data.size(), in_block + data.size());
+    std::uint8_t* p = block.data.Mutable(size, block_size_);
+    if (!data.empty()) std::memcpy(p + in_block, data.data(), data.size());
   }
-  std::copy(data.begin(), data.end(),
-            block.data.begin() + static_cast<std::ptrdiff_t>(in_block));
+  cached_bytes_ += block.data.size();
   block.dirty = true;
 }
 
@@ -125,6 +128,22 @@ void DiskCache::DropFileData(const nfs3::Fh& fh) {
     cached_bytes_ -= block.data.size();
   }
   files_.erase(it);
+}
+
+void DiskCache::DropCleanBlocks(const nfs3::Fh& fh) {
+  auto it = files_.find(fh);
+  if (it != files_.end()) DropCleanBlocks(it->second);
+}
+
+void DiskCache::DropCleanBlocks(FileEntry& file) {
+  for (auto b = file.blocks.begin(); b != file.blocks.end();) {
+    if (!b->second.dirty) {
+      cached_bytes_ -= b->second.data.size();
+      b = file.blocks.erase(b);
+    } else {
+      ++b;
+    }
+  }
 }
 
 void DiskCache::MarkClean(const nfs3::Fh& fh, std::uint64_t index) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/block.h"
 #include "common/types.h"
 #include "nfs3/proto.h"
 
@@ -28,8 +29,10 @@ class DiskCache {
     SimTime fetched_at = 0;
   };
 
+  /// A cached block shares its bytes with the message that brought it and
+  /// with the other caches; writes into it copy on write.
   struct Block {
-    Bytes data;
+    BlockRef data;
     bool dirty = false;
   };
 
@@ -68,6 +71,9 @@ class DiskCache {
   /// Valid only while the directory's attr entry is valid AND its mtime
   /// still matches what the entry saw (like the kernel dnlc).
   const nfs3::Fh* ValidLookup(const nfs3::Fh& dir, const std::string& name) const;
+  /// The recorded child of (dir, name) even when stale: the best guess at
+  /// what a REMOVE of that name deletes. Null when no entry is recorded.
+  const nfs3::Fh* AnyLookup(const nfs3::Fh& dir, const std::string& name) const;
   void StoreLookup(const nfs3::Fh& dir, const std::string& name, const nfs3::Fh& child);
   void DropLookup(const nfs3::Fh& dir, const std::string& name);
   /// True if any (possibly stale) name entries are recorded under `dir`.
@@ -80,11 +86,15 @@ class DiskCache {
   FileEntry* FindFile(const nfs3::Fh& fh);
   FileEntry& FileFor(const nfs3::Fh& fh) { return files_[fh]; }
   const Block* FindBlock(const nfs3::Fh& fh, std::uint64_t index) const;
-  void StoreBlock(const nfs3::Fh& fh, std::uint64_t index, Bytes data, bool dirty);
+  void StoreBlock(const nfs3::Fh& fh, std::uint64_t index, BlockRef data, bool dirty);
   /// Merges `data` into the block at byte offset `in_block`, marking dirty.
+  /// Data covering the whole cached block replaces it by reference; a
+  /// partial write copies on write, so holders of the old block keep it.
   void WriteIntoBlock(const nfs3::Fh& fh, std::uint64_t index,
-                      std::uint64_t in_block, const Bytes& data);
+                      std::uint64_t in_block, const BlockRef& data);
   void DropFileData(const nfs3::Fh& fh);
+  /// Drops a file's clean blocks; dirty ones stay for write-back.
+  void DropCleanBlocks(const nfs3::Fh& fh);
   /// Clears a block's dirty flag after successful write-back.
   void MarkClean(const nfs3::Fh& fh, std::uint64_t index);
 
@@ -112,6 +122,8 @@ class DiskCache {
   std::uint64_t CachedBytes() const { return cached_bytes_; }
 
  private:
+  void DropCleanBlocks(FileEntry& file);
+
   std::uint32_t block_size_;
   struct LookupEntry {
     nfs3::Fh child;

@@ -165,24 +165,28 @@ nfs3::DecodeResult<RecoveryRes> RecoveryRes::Decode(xdr::Decoder& dec) {
   return out;
 }
 
-void GrantSuffix::AppendTo(Bytes& reply_body) const {
-  xdr::Encoder enc;
-  enc.PutU32(static_cast<std::uint32_t>(delegation));
-  enc.PutU32(kGrantMagic);
-  const Bytes& tail = enc.bytes();
-  reply_body.insert(reply_body.end(), tail.begin(), tail.end());
+void GrantSuffix::AppendTo(xdr::Message& reply_body) const {
+  std::uint8_t tail[kWireBytes];
+  xdr::Encoder::StoreBe32(tail, static_cast<std::uint32_t>(delegation));
+  xdr::Encoder::StoreBe32(tail + 4, kGrantMagic);
+  reply_body.Append(ByteView(tail, kWireBytes));
 }
 
-GrantSuffix GrantSuffix::ExtractFrom(Bytes& reply_body) {
+GrantSuffix GrantSuffix::ExtractFrom(xdr::Message& reply_body) {
   GrantSuffix out;
   if (reply_body.size() < kWireBytes) return out;
-  xdr::Decoder dec(reply_body.data() + reply_body.size() - kWireBytes, kWireBytes);
+  // The suffix must end the reply on the wire: no block spliced after it.
+  const std::size_t at = reply_body.size() - kWireBytes;
+  if (!reply_body.splices().empty() && reply_body.splices().back().pos > at) {
+    return out;
+  }
+  xdr::Decoder dec(reply_body.data() + at, kWireBytes);
   auto type = dec.GetU32();
   auto magic = dec.GetU32();
   if (!type || !magic || *magic != kGrantMagic) return out;
   if (*type > static_cast<std::uint32_t>(DelegationType::kWrite)) return out;
   out.delegation = static_cast<DelegationType>(*type);
-  reply_body.resize(reply_body.size() - kWireBytes);
+  reply_body.Truncate(at);
   return out;
 }
 

@@ -181,11 +181,12 @@ struct GrantSuffix {
 
   static constexpr std::size_t kWireBytes = 8;  // magic + type
 
-  /// Appends the suffix to an already-encoded NFS reply body.
-  void AppendTo(Bytes& reply_body) const;
+  /// Appends the suffix to an already-encoded NFS reply body. It goes
+  /// inline after every spliced block, so it ends the reply on the wire.
+  void AppendTo(xdr::Message& reply_body) const;
 
   /// Extracts (and strips) a suffix from a reply body, if present.
-  static GrantSuffix ExtractFrom(Bytes& reply_body);
+  static GrantSuffix ExtractFrom(xdr::Message& reply_body);
 };
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ ProxyClient::ProxyClient(sim::Scheduler& sched, rpc::RpcNode& node,
       cache_(config_.block_size),
       poll_period_(config_.poll_period) {
   auto bind = [this, &node](nfs3::Proc proc,
-                            sim::Task<Bytes> (ProxyClient::*method)(
+                            sim::Task<rpc::Body> (ProxyClient::*method)(
                                 rpc::CallContext, rpc::Body)) {
     node.RegisterHandler(nfs3::kProgram, proc,
                          [this, method](rpc::CallContext ctx, rpc::Body args) {
@@ -238,10 +238,11 @@ net::Address ProxyClient::UpstreamFor(const std::optional<Fh>& fh) const {
   return config_.shard_addrs[ShardOf(*fh, shard_count)];
 }
 
-sim::Task<std::optional<Bytes>> ProxyClient::Upstream(std::uint32_t proc, Bytes args,
-                                                      std::optional<Fh> granted_fh,
-                                                      std::string label,
-                                                      trace::SpanRef parent) {
+sim::Task<std::optional<rpc::Body>> ProxyClient::Upstream(std::uint32_t proc,
+                                                          rpc::Body args,
+                                                          std::optional<Fh> granted_fh,
+                                                          std::string label,
+                                                          trace::SpanRef parent) {
   ++stats_.forwarded;
   rpc::CallOptions opts;
   opts.label = std::move(label);
@@ -250,7 +251,7 @@ sim::Task<std::optional<Bytes>> ProxyClient::Upstream(std::uint32_t proc, Bytes 
   auto reply = co_await node_.Call(UpstreamFor(granted_fh), nfs3::kProgram,
                                    proc, std::move(args), std::move(opts));
   if (!reply) co_return std::nullopt;
-  Bytes body = reply->ToBytes();
+  rpc::Body body = std::move(*reply);
   // Adaptive sessions speak the delegation wire format too: the server
   // piggybacks grant suffixes on every known NFS reply.
   if (config_.model == ConsistencyModel::kDelegationCallback ||
@@ -264,7 +265,7 @@ sim::Task<std::optional<Bytes>> ProxyClient::Upstream(std::uint32_t proc, Bytes 
 namespace {
 
 template <typename Res>
-Bytes Fault() {
+rpc::Body Fault() {
   Res res;
   res.status = Status::kIo;
   return Serialize(res);
@@ -276,7 +277,7 @@ Bytes Fault() {
 // Kernel-facing handlers
 // ---------------------------------------------------------------------------
 
-sim::Task<Bytes> ProxyClient::HandleGetAttr(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleGetAttr(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::GetAttrArgs>(args);
   if (!parsed) co_return Fault<nfs3::GetAttrRes>();
   const Fh fh = parsed->object;
@@ -298,7 +299,7 @@ sim::Task<Bytes> ProxyClient::HandleGetAttr(rpc::CallContext ctx, rpc::Body args
   // kernel (noac kernels size their appends from it): drain the pipeline.
   co_await DrainAsyncWrites(fh);
 
-  auto body = co_await Upstream(nfs3::kGetAttr, args.ToBytes(), fh, "GETATTR",
+  auto body = co_await Upstream(nfs3::kGetAttr, std::move(args), fh, "GETATTR",
                                 ctx.span);
   if (!body) co_return Fault<nfs3::GetAttrRes>();
   auto res = nfs3::Parse<nfs3::GetAttrRes>(*body);
@@ -354,7 +355,7 @@ sim::Task<bool> ProxyClient::RefreshDirListing(Fh dir, trace::SpanRef parent) {
   co_return true;
 }
 
-sim::Task<Bytes> ProxyClient::HandleLookup(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleLookup(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::LookupArgs>(args);
   if (!parsed) co_return Fault<nfs3::LookupRes>();
   const Fh dir = parsed->dir;
@@ -408,7 +409,7 @@ sim::Task<Bytes> ProxyClient::HandleLookup(rpc::CallContext ctx, rpc::Body args)
     }
   }
 
-  auto body = co_await Upstream(nfs3::kLookup, args.ToBytes(), dir, "LOOKUP",
+  auto body = co_await Upstream(nfs3::kLookup, std::move(args), dir, "LOOKUP",
                                 ctx.span);
   if (!body) co_return Fault<nfs3::LookupRes>();
   auto res = nfs3::Parse<nfs3::LookupRes>(*body);
@@ -424,7 +425,7 @@ sim::Task<Bytes> ProxyClient::HandleLookup(rpc::CallContext ctx, rpc::Body args)
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleAccess(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleAccess(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::AccessArgs>(args);
   if (!parsed) co_return Fault<nfs3::AccessRes>();
   const Fh fh = parsed->object;
@@ -439,7 +440,7 @@ sim::Task<Bytes> ProxyClient::HandleAccess(rpc::CallContext ctx, rpc::Body args)
     co_await sim::Sleep(sched_, config_.disk_access_time);
     co_return Serialize(res);
   }
-  auto body = co_await Upstream(nfs3::kAccess, args.ToBytes(), fh, "ACCESS",
+  auto body = co_await Upstream(nfs3::kAccess, std::move(args), fh, "ACCESS",
                                 ctx.span);
   if (!body) co_return Fault<nfs3::AccessRes>();
   auto res = nfs3::Parse<nfs3::AccessRes>(*body);
@@ -447,7 +448,7 @@ sim::Task<Bytes> ProxyClient::HandleAccess(rpc::CallContext ctx, rpc::Body args)
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleRead(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleRead(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::ReadArgs>(args);
   if (!parsed) co_return Fault<nfs3::ReadRes>();
   const Fh fh = parsed->file;
@@ -478,9 +479,7 @@ sim::Task<Bytes> ProxyClient::HandleRead(rpc::CallContext ctx, rpc::Body args) {
       if (in_block < block->data.size()) {
         const std::uint64_t take = std::min<std::uint64_t>(
             block->data.size() - in_block, parsed->count);
-        res.data.assign(
-            block->data.begin() + static_cast<std::ptrdiff_t>(in_block),
-            block->data.begin() + static_cast<std::ptrdiff_t>(in_block + take));
+        res.data = block->data.Slice(in_block, take);
       }
       res.count = static_cast<std::uint32_t>(res.data.size());
       res.eof = parsed->offset + res.count >= file_size;
@@ -497,7 +496,7 @@ sim::Task<Bytes> ProxyClient::HandleRead(rpc::CallContext ctx, rpc::Body args) {
   // any in-flight WRITEs to this file before asking the server for bytes.
   co_await DrainAsyncWrites(fh);
 
-  auto body = co_await Upstream(nfs3::kRead, args.ToBytes(), fh, "READ",
+  auto body = co_await Upstream(nfs3::kRead, std::move(args), fh, "READ",
                                 ctx.span);
   if (!body) co_return Fault<nfs3::ReadRes>();
   auto res = nfs3::Parse<nfs3::ReadRes>(*body);
@@ -575,7 +574,7 @@ sim::Task<void> ProxyClient::Prefetch(Fh fh, std::uint64_t index) {
   prefetch_done_.NotifyAll();
 }
 
-sim::Task<Bytes> ProxyClient::HandleWrite(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleWrite(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::WriteArgs>(args);
   if (!parsed) co_return Fault<nfs3::WriteRes>();
   const Fh fh = parsed->file;
@@ -600,9 +599,7 @@ sim::Task<Bytes> ProxyClient::HandleWrite(rpc::CallContext ctx, rpc::Body args) 
       const std::uint64_t in_block = pos - index * bs;
       const std::uint64_t take =
           std::min<std::uint64_t>(bs - in_block, parsed->data.size() - consumed);
-      Bytes chunk(parsed->data.begin() + static_cast<std::ptrdiff_t>(consumed),
-                  parsed->data.begin() + static_cast<std::ptrdiff_t>(consumed + take));
-      cache_.WriteIntoBlock(fh, index, in_block, chunk);
+      cache_.WriteIntoBlock(fh, index, in_block, parsed->data.Slice(consumed, take));
       pos += take;
       consumed += take;
     }
@@ -665,7 +662,7 @@ sim::Task<Bytes> ProxyClient::HandleWrite(rpc::CallContext ctx, rpc::Body args) 
     co_return Serialize(res);
   }
 
-  auto body = co_await Upstream(nfs3::kWrite, args.ToBytes(), fh, "WRITE",
+  auto body = co_await Upstream(nfs3::kWrite, std::move(args), fh, "WRITE",
                                 ctx.span);
   if (!body) co_return Fault<nfs3::WriteRes>();
   auto res = nfs3::Parse<nfs3::WriteRes>(*body);
@@ -690,7 +687,7 @@ sim::Task<void> ProxyClient::ForwardWriteAsync(Fh fh, rpc::Body args,
                                                std::uint64_t start,
                                                std::uint64_t end) {
   const std::uint64_t epoch = epoch_;
-  auto body = co_await Upstream(nfs3::kWrite, args.ToBytes(), fh, "WRITE");
+  auto body = co_await Upstream(nfs3::kWrite, std::move(args), fh, "WRITE");
   AsyncWrites& aw = AsyncWritesFor(fh);
   for (auto it = aw.ranges.begin(); it != aw.ranges.end(); ++it) {
     if (it->first == start && it->second == end) {
@@ -722,7 +719,7 @@ sim::Task<void> ProxyClient::DrainAsyncWrites(Fh fh) {
   }
 }
 
-sim::Task<Bytes> ProxyClient::HandleCommit(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleCommit(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::CommitArgs>(args);
   if (!parsed) co_return Fault<nfs3::CommitRes>();
   const Fh fh = parsed->file;
@@ -753,17 +750,17 @@ sim::Task<Bytes> ProxyClient::HandleCommit(rpc::CallContext ctx, rpc::Body args)
     co_return Serialize(res);
   }
 
-  auto body = co_await Upstream(nfs3::kCommit, args.ToBytes(), fh, "COMMIT",
+  auto body = co_await Upstream(nfs3::kCommit, std::move(args), fh, "COMMIT",
                                 ctx.span);
   if (!body) co_return Fault<nfs3::CommitRes>();
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleCreate(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleCreate(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::CreateArgs>(args);
   if (!parsed) co_return Fault<nfs3::CreateRes>();
   const Fh dir = parsed->dir;
-  auto body = co_await Upstream(nfs3::kCreate, args.ToBytes(), dir, "CREATE",
+  auto body = co_await Upstream(nfs3::kCreate, std::move(args), dir, "CREATE",
                                 ctx.span);
   if (!body) co_return Fault<nfs3::CreateRes>();
   auto res = nfs3::Parse<nfs3::CreateRes>(*body);
@@ -777,11 +774,11 @@ sim::Task<Bytes> ProxyClient::HandleCreate(rpc::CallContext ctx, rpc::Body args)
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleMkdir(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleMkdir(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::MkdirArgs>(args);
   if (!parsed) co_return Fault<nfs3::MkdirRes>();
   const Fh dir = parsed->dir;
-  auto body = co_await Upstream(nfs3::kMkdir, args.ToBytes(), dir, "MKDIR",
+  auto body = co_await Upstream(nfs3::kMkdir, std::move(args), dir, "MKDIR",
                                 ctx.span);
   if (!body) co_return Fault<nfs3::MkdirRes>();
   auto res = nfs3::Parse<nfs3::MkdirRes>(*body);
@@ -795,30 +792,43 @@ sim::Task<Bytes> ProxyClient::HandleMkdir(rpc::CallContext ctx, rpc::Body args) 
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleRemove(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleRemove(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::RemoveArgs>(args);
   if (!parsed) co_return Fault<nfs3::RemoveRes>();
   const Fh dir = parsed->dir;
-  auto body = co_await Upstream(nfs3::kRemove, args.ToBytes(), dir, "REMOVE",
+  auto body = co_await Upstream(nfs3::kRemove, std::move(args), dir, "REMOVE",
                                 ctx.span);
   if (!body) co_return Fault<nfs3::RemoveRes>();
   auto res = nfs3::Parse<nfs3::RemoveRes>(*body);
   if (res) {
+    // Resolve the victim before absorbing the directory's new mtime, which
+    // makes every name entry under it stale. A stale entry is still the
+    // best guess: this proxy's own CREATEs in the directory stale it too.
+    const Fh* recorded = cache_.AnyLookup(dir, parsed->name);
+    const Fh victim = recorded != nullptr ? *recorded : kNegative;
     Absorb(dir, res->dir_attr, /*own_write=*/true);
     if (res->status == Status::kOk) {
-      const Fh* victim = cache_.ValidLookup(dir, parsed->name);
-      if (victim != nullptr && victim->valid()) cache_.InvalidateAttr(*victim);
+      if (victim.valid()) {
+        // Its last link gone, the file's clean blocks can never be read
+        // again (inode numbers are never reused); dirty ones stay for the
+        // write-back path to settle.
+        const DiskCache::AttrEntry* attr = cache_.AnyAttr(victim);
+        if (attr != nullptr && attr->attr.nlink <= 1) {
+          cache_.DropCleanBlocks(victim);
+        }
+        cache_.InvalidateAttr(victim);
+      }
       cache_.StoreLookup(dir, parsed->name, kNegative);
     }
   }
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleRmdir(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleRmdir(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::RmdirArgs>(args);
   if (!parsed) co_return Fault<nfs3::RmdirRes>();
   const Fh dir = parsed->dir;
-  auto body = co_await Upstream(nfs3::kRmdir, args.ToBytes(), dir, "RMDIR",
+  auto body = co_await Upstream(nfs3::kRmdir, std::move(args), dir, "RMDIR",
                                 ctx.span);
   if (!body) co_return Fault<nfs3::RmdirRes>();
   auto res = nfs3::Parse<nfs3::RmdirRes>(*body);
@@ -829,10 +839,10 @@ sim::Task<Bytes> ProxyClient::HandleRmdir(rpc::CallContext ctx, rpc::Body args) 
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleRename(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleRename(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::RenameArgs>(args);
   if (!parsed) co_return Fault<nfs3::RenameRes>();
-  auto body = co_await Upstream(nfs3::kRename, args.ToBytes(), parsed->from_dir,
+  auto body = co_await Upstream(nfs3::kRename, std::move(args), parsed->from_dir,
                                 "RENAME", ctx.span);
   if (!body) co_return Fault<nfs3::RenameRes>();
   auto res = nfs3::Parse<nfs3::RenameRes>(*body);
@@ -848,10 +858,10 @@ sim::Task<Bytes> ProxyClient::HandleRename(rpc::CallContext ctx, rpc::Body args)
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleLink(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleLink(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::LinkArgs>(args);
   if (!parsed) co_return Fault<nfs3::LinkRes>();
-  auto body = co_await Upstream(nfs3::kLink, args.ToBytes(), parsed->dir,
+  auto body = co_await Upstream(nfs3::kLink, std::move(args), parsed->dir,
                                 "LINK", ctx.span);
   if (!body) co_return Fault<nfs3::LinkRes>();
   auto res = nfs3::Parse<nfs3::LinkRes>(*body);
@@ -865,11 +875,11 @@ sim::Task<Bytes> ProxyClient::HandleLink(rpc::CallContext ctx, rpc::Body args) {
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandleSetAttr(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleSetAttr(rpc::CallContext ctx, rpc::Body args) {
   auto parsed = nfs3::Parse<nfs3::SetAttrArgs>(args);
   if (!parsed) co_return Fault<nfs3::SetAttrRes>();
   const Fh fh = parsed->object;
-  auto body = co_await Upstream(nfs3::kSetAttr, args.ToBytes(), fh, "SETATTR",
+  auto body = co_await Upstream(nfs3::kSetAttr, std::move(args), fh, "SETATTR",
                                 ctx.span);
   if (!body) co_return Fault<nfs3::SetAttrRes>();
   auto res = nfs3::Parse<nfs3::SetAttrRes>(*body);
@@ -880,10 +890,10 @@ sim::Task<Bytes> ProxyClient::HandleSetAttr(rpc::CallContext ctx, rpc::Body args
   co_return std::move(*body);
 }
 
-sim::Task<Bytes> ProxyClient::HandlePassthrough(std::uint32_t proc,
-                                                rpc::CallContext ctx,
-                                                rpc::Body args) {
-  auto body = co_await Upstream(proc, args.ToBytes(), std::nullopt,
+sim::Task<rpc::Body> ProxyClient::HandlePassthrough(std::uint32_t proc,
+                                                    rpc::CallContext ctx,
+                                                    rpc::Body args) {
+  auto body = co_await Upstream(proc, std::move(args), std::nullopt,
                                 nfs3::ProcName(proc), ctx.span);
   if (!body) co_return Fault<nfs3::GetAttrRes>();
   co_return std::move(*body);
@@ -893,7 +903,7 @@ sim::Task<Bytes> ProxyClient::HandlePassthrough(std::uint32_t proc,
 // Callbacks (server -> client)
 // ---------------------------------------------------------------------------
 
-sim::Task<Bytes> ProxyClient::HandleCallback(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyClient::HandleCallback(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.callbacks_received;
   auto parsed = nfs3::Parse<CallbackArgs>(args);
   if (!parsed) co_return Serialize(CallbackRes{});
@@ -957,7 +967,7 @@ sim::Task<Bytes> ProxyClient::HandleCallback(rpc::CallContext ctx, rpc::Body arg
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> ProxyClient::HandleRecovery(rpc::CallContext ctx, rpc::Body) {
+sim::Task<rpc::Body> ProxyClient::HandleRecovery(rpc::CallContext ctx, rpc::Body) {
   ++stats_.callbacks_received;
   // Whole-cache callback after a server restart: every cached attribute
   // must be revalidated; write-delegation state is reported back so the
@@ -1212,24 +1222,26 @@ sim::Task<void> ProxyClient::FlushFile(Fh fh, bool commit,
   } else {
     // Sliding window: up to `window` WRITEs in flight; each completion frees
     // a slot for the next dirty block. One COMMIT covers the whole batch
-    // once the window drains.
-    sim::Semaphore slots(sched_, window);
+    // once the window drains. The slots are the proxy-wide window, so files
+    // flushed concurrently (FlushAll) share it: a window per file would put
+    // files x window WRITEs on the link at once, and under that load the
+    // fixed-timeout retransmissions of the last ones never get a reply.
     sim::WaitGroup in_flight(sched_);
     auto any = std::make_shared<bool>(false);
     for (std::uint64_t offset : offsets) {
-      co_await slots.Acquire();
+      co_await wt_slots_.Acquire();
       if (epoch != epoch_) {
-        slots.Release();
+        wt_slots_.Release();
         break;  // stop issuing; the joined window below still drains
       }
       in_flight.Spawn([](ProxyClient* self, Fh file, std::uint64_t off,
-                         trace::SpanRef span, sim::Semaphore* sem,
+                         trace::SpanRef span,
                          std::shared_ptr<bool> flushed) -> sim::Task<void> {
         const bool ok = co_await self->FlushBlock(file, off, span);
         *flushed = *flushed || ok;
-        // gvfs-lint: allow(use-after-suspend): sem points at the stack semaphore in FlushFile, which joins every spawned frame via in_flight.Wait() before it leaves scope
-        sem->Release();
-      }(this, fh, offset, parent, &slots, any));
+        // gvfs-lint: allow(use-after-suspend): the proxy outlives its flushes; Shutdown joins every window before teardown
+        self->wt_slots_.Release();
+      }(this, fh, offset, parent, any));
     }
     co_await in_flight.Wait();
     flushed_any = *any;
@@ -1255,7 +1267,8 @@ sim::Task<void> ProxyClient::FlushAll() {
     }
     co_return;
   }
-  // Distinct files flush concurrently, each with its own WRITE window.
+  // Distinct files flush concurrently but share the proxy-wide wt_slots_
+  // window, so at most wb_window WRITEs are in flight in total.
   sim::WaitGroup in_flight(sched_);
   for (const Fh& fh : files) {
     in_flight.Spawn(FlushFile(fh, /*commit=*/true));

@@ -127,34 +127,35 @@ class ProxyClient {
   // All take the RPC CallContext so the kernel call's span becomes the
   // parent of every upstream RPC the handler issues (one causal tree from
   // kernel client through proxy to server).
-  sim::Task<Bytes> HandleGetAttr(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleLookup(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleAccess(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRead(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleWrite(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleCommit(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleCreate(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleMkdir(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRemove(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRmdir(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRename(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleLink(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleSetAttr(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandlePassthrough(std::uint32_t proc, rpc::CallContext ctx,
-                                     rpc::Body args);
+  sim::Task<rpc::Body> HandleGetAttr(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleLookup(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleAccess(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleRead(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleWrite(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleCommit(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleCreate(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleMkdir(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleRemove(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleRmdir(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleRename(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleLink(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleSetAttr(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandlePassthrough(std::uint32_t proc, rpc::CallContext ctx,
+                                         rpc::Body args);
 
   // -- server-facing callback handlers --
-  sim::Task<Bytes> HandleCallback(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleRecovery(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleCallback(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleRecovery(rpc::CallContext ctx, rpc::Body args);
 
-  /// Forwards a raw request upstream; strips and applies any delegation
-  /// grant suffix for `granted_fh`. Returns the reply body (suffix removed),
+  /// Forwards a request upstream (a received Body goes as it is, blocks by
+  /// reference); strips and applies any delegation grant suffix for
+  /// `granted_fh`. Returns the reply body (suffix removed),
   /// or nullopt on transport failure. `parent` chains the upstream call into
   /// the caller's trace (invalid => the call roots a new trace).
-  sim::Task<std::optional<Bytes>> Upstream(std::uint32_t proc, Bytes args,
-                                           std::optional<nfs3::Fh> granted_fh,
-                                           std::string label,
-                                           trace::SpanRef parent = {});
+  sim::Task<std::optional<rpc::Body>> Upstream(std::uint32_t proc, rpc::Body args,
+                                               std::optional<nfs3::Fh> granted_fh,
+                                               std::string label,
+                                               trace::SpanRef parent = {});
 
   /// Records a cached read-class serve into the session staleness probe.
   void RecordCachedRead(const nfs3::Fh& fh);
@@ -220,8 +221,8 @@ class ProxyClient {
   /// chains the WRITE into a recall's span when flushing under a callback.
   sim::Task<bool> FlushBlock(nfs3::Fh fh, std::uint64_t offset,
                              trace::SpanRef parent = {});
-  /// Flushes every dirty block of `fh` through a window of up to
-  /// `config_.wb_window` WRITEs in flight, then (optionally) one coalesced
+  /// Flushes every dirty block of `fh` through the proxy-wide window of up
+  /// to `config_.wb_window` WRITEs in flight, then (optionally) one coalesced
   /// COMMIT. Concurrent flushes of the same file serialize on a per-file
   /// lock so per-block write-after-write order is preserved.
   sim::Task<void> FlushFile(nfs3::Fh fh, bool commit,
@@ -246,7 +247,8 @@ class ProxyClient {
   std::map<nfs3::Fh, sim::Mutex> flush_locks_;
   /// Pipelined write-through tracking (never erased, same reason as above).
   std::map<nfs3::Fh, AsyncWrites> async_writes_;
-  /// Window cap for async write-through forwarding, shared across files.
+  /// The proxy-wide WRITE window (wb_window): caps async write-through
+  /// forwards and windowed write-back flushes across all files.
   sim::Semaphore wt_slots_{sched_,
                            config_.wb_window > 0 ? config_.wb_window : 1};
   /// Blocks with a prefetch READ in flight (suppresses duplicates); demand

@@ -48,7 +48,7 @@ ProxyServer::ProxyServer(sim::Scheduler& sched, rpc::RpcNode& node,
 // Request classification
 // ---------------------------------------------------------------------------
 
-ProxyServer::OpInfo ProxyServer::Classify(std::uint32_t proc, ByteView args) {
+ProxyServer::OpInfo ProxyServer::Classify(std::uint32_t proc, const rpc::Body& args) {
   OpInfo info;
   info.known = true;
   switch (proc) {
@@ -153,8 +153,8 @@ ProxyServer::OpInfo ProxyServer::Classify(std::uint32_t proc, ByteView args) {
 // Main NFS path
 // ---------------------------------------------------------------------------
 
-sim::Task<Bytes> ProxyServer::HandleNfs(std::uint32_t proc, rpc::CallContext ctx,
-                                        rpc::Body args) {
+sim::Task<rpc::Body> ProxyServer::HandleNfs(std::uint32_t proc, rpc::CallContext ctx,
+                                            rpc::Body args) {
   // The staleness probe stamps new versions with the request's receipt time:
   // it precedes the upstream mtime, so a client that already read the new
   // data never appears stale against its own refresh.
@@ -207,19 +207,20 @@ sim::Task<Bytes> ProxyServer::HandleNfs(std::uint32_t proc, rpc::CallContext ctx
     }
   }
 
-  // Forward the raw request upstream (kernel NFS server over loopback).
+  // Forward the received request upstream as it is (kernel NFS server over
+  // loopback); its data blocks travel on by reference.
   ++stats_.forwarded;
   rpc::CallOptions fwd_opts;
   fwd_opts.parent = ctx.span;
-  auto reply = co_await node_.Call(upstream_.server(), nfs3::kProgram, proc, args.ToBytes(),
-                                   std::move(fwd_opts));
+  auto reply = co_await node_.Call(upstream_.server(), nfs3::kProgram, proc,
+                                   std::move(args), std::move(fwd_opts));
   if (!reply) {
     // Upstream unreachable: surface as a server fault in NFS terms.
     nfs3::GetAttrRes fault;
     fault.status = nfs3::Status::kServerFault;
     co_return Serialize(fault);
   }
-  Bytes body = reply->ToBytes();
+  rpc::Body body = std::move(*reply);
 
   // A successful WRITE from the write-back owner retires pending blocks.
   if (proc == nfs3::kWrite && info.offset.has_value() && !info.writes.empty()) {
@@ -339,8 +340,8 @@ sim::Task<void> ProxyServer::PropagateInvalidation(Fh fh, net::Address writer,
   }
 }
 
-sim::Task<Bytes> ProxyServer::HandleNotifyInv(rpc::CallContext ctx,
-                                              rpc::Body args) {
+sim::Task<rpc::Body> ProxyServer::HandleNotifyInv(rpc::CallContext ctx,
+                                                  rpc::Body args) {
   ++stats_.notifyinv_received;
   auto parsed = nfs3::Parse<NotifyInvArgs>(args);
   if (parsed) {
@@ -355,7 +356,7 @@ sim::Task<Bytes> ProxyServer::HandleNotifyInv(rpc::CallContext ctx,
   co_return Serialize(NotifyInvRes{});
 }
 
-sim::Task<Bytes> ProxyServer::HandleGetInv(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyServer::HandleGetInv(rpc::CallContext ctx, rpc::Body args) {
   ++stats_.getinv_served;
   RegisterClient(ctx.caller);
   const auto& tr = node_.tracer();
@@ -453,7 +454,7 @@ std::uint32_t ProxyServer::DrainInvEntries(const Fh& fh, net::Address client) {
   return drained;
 }
 
-sim::Task<Bytes> ProxyServer::HandleMigrate(rpc::CallContext ctx, rpc::Body args) {
+sim::Task<rpc::Body> ProxyServer::HandleMigrate(rpc::CallContext ctx, rpc::Body args) {
   co_await WaitGrace();
   RegisterClient(ctx.caller);
   MigrateRes res;

@@ -153,18 +153,18 @@ class ProxyServer {
     std::vector<std::pair<nfs3::Fh, std::string>> victims;
   };
 
-  sim::Task<Bytes> HandleNfs(std::uint32_t proc, rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleGetInv(rpc::CallContext ctx, rpc::Body args);
-  sim::Task<Bytes> HandleNotifyInv(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleNfs(std::uint32_t proc, rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleGetInv(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleNotifyInv(rpc::CallContext ctx, rpc::Body args);
   /// Adaptive sessions: per-file mode switch (drain-before-switch handshake).
-  sim::Task<Bytes> HandleMigrate(rpc::CallContext ctx, rpc::Body args);
+  sim::Task<rpc::Body> HandleMigrate(rpc::CallContext ctx, rpc::Body args);
 
   /// Removes every buffered invalidation entry for (`fh`, `client`) and
   /// returns how many were delivered this way (traced as kInvPoll — the
   /// MIGRATE reply is an invalidation delivery path).
   std::uint32_t DrainInvEntries(const nfs3::Fh& fh, net::Address client);
 
-  static OpInfo Classify(std::uint32_t proc, ByteView args);
+  static OpInfo Classify(std::uint32_t proc, const rpc::Body& args);
 
   /// Registers the caller in the session (persistent list).
   void RegisterClient(net::Address client);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -387,7 +388,7 @@ sim::Task<VfsResult<Bytes>> KernelClient::Read(Fd fd, std::uint64_t offset,
     } else {
       ++stats_.page_hits;
     }
-    const Bytes& data = cached->second.data;
+    const BlockRef& data = cached->second.data;
     const std::uint64_t in_block = pos - block_start;
     if (in_block >= data.size()) break;  // hole/EOF within block
     const std::uint64_t take =
@@ -453,14 +454,15 @@ sim::Task<VfsResult<std::uint32_t>> KernelClient::Write(Fd fd, std::uint64_t off
       cached = fc->blocks.emplace(index, std::move(block)).first;
     }
 
-    Bytes& dst = cached->second.data;
-    if (dst.size() < in_block + take) {
-      cached_bytes_ += in_block + take - dst.size();
-      dst.resize(in_block + take, 0);
-    }
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(consumed),
-              data.begin() + static_cast<std::ptrdiff_t>(consumed + take),
-              dst.begin() + static_cast<std::ptrdiff_t>(in_block));
+    // Copy on write: a block already handed to a WRITE (or shared with the
+    // READ reply that filled it) is cloned, never changed under its holders.
+    BlockRef& dst = cached->second.data;
+    const std::size_t old_size = dst.size();
+    const std::size_t new_size =
+        std::max<std::uint64_t>(old_size, in_block + take);
+    std::uint8_t* p = dst.Mutable(new_size, bs);
+    std::memcpy(p + in_block, data.data() + consumed, take);
+    cached_bytes_ += new_size - old_size;
     cached->second.dirty = true;
 
     pos += take;

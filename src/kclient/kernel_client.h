@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/block.h"
 #include "common/expected.h"
 #include "common/types.h"
 #include "kclient/vfs.h"
@@ -120,8 +121,10 @@ class KernelClient : public Vfs {
     SimTime dir_mtime_seen = 0;
   };
 
+  /// A page-cache block: shared with the WRITE that flushes it and the
+  /// READ reply that filled it; application writes copy on write.
   struct CachedBlock {
-    Bytes data;
+    BlockRef data;
     bool dirty = false;
   };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace gvfs::memfs {
 
@@ -76,8 +77,37 @@ void MemFs::Unref(InodeId id) {
   --node->attr.nlink;
   node->attr.ctime = Now();
   if (node->attr.nlink == 0) {
-    total_bytes_ -= node->data.size();
+    total_bytes_ -= node->attr.size;
     inodes_.erase(id);
+  }
+}
+
+void MemFs::Resize(Inode& node, std::uint64_t size) {
+  const std::uint64_t nblocks = (size + kBlockSize - 1) / kBlockSize;
+  node.blocks.resize(nblocks);
+  if (nblocks != 0) {
+    BlockRef& last = node.blocks.back();
+    const std::uint64_t extent = size - (nblocks - 1) * kBlockSize;
+    if (last.size() > extent) last = last.Slice(0, extent);
+  }
+  node.attr.size = size;
+}
+
+void MemFs::CopyOut(const Inode& node, std::uint64_t offset, std::uint8_t* out,
+                    std::size_t len) {
+  std::size_t done = 0;
+  while (done < len) {
+    const std::uint64_t pos = offset + done;
+    const BlockRef& block = node.blocks[pos / kBlockSize];
+    const std::uint64_t in_block = pos % kBlockSize;
+    const std::size_t take =
+        std::min<std::uint64_t>(kBlockSize - in_block, len - done);
+    const std::size_t stored =
+        block.size() > in_block ? std::min<std::uint64_t>(take, block.size() - in_block)
+                                : 0;
+    if (stored != 0) std::memcpy(out + done, block.data() + in_block, stored);
+    std::memset(out + done + stored, 0, take - stored);
+    done += take;
   }
 }
 
@@ -92,10 +122,9 @@ FsResult<InodeAttr> MemFs::SetAttr(InodeId id, const SetAttrRequest& req) {
   if (node == nullptr) return Unexpected(FsError::kStale);
   if (req.size.has_value()) {
     if (node->attr.type == FileType::kDirectory) return Unexpected(FsError::kIsDir);
-    total_bytes_ -= node->data.size();
-    node->data.resize(*req.size, 0);
-    total_bytes_ += node->data.size();
-    node->attr.size = *req.size;
+    total_bytes_ -= node->attr.size;
+    Resize(*node, *req.size);
+    total_bytes_ += node->attr.size;
     node->attr.mtime = Now();
   }
   if (req.mode.has_value()) node->attr.mode = *req.mode;
@@ -225,34 +254,74 @@ FsResult<void> MemFs::Link(InodeId file, InodeId dir, const std::string& name) {
 
 FsResult<ReadResult> MemFs::Read(InodeId id, std::uint64_t offset,
                                  std::uint32_t count) const {
+  auto read = ReadBlock(id, offset, count);
+  if (!read) return Unexpected(read.error());
+  return ReadResult{Bytes(read->data.begin(), read->data.end()), read->eof};
+}
+
+FsResult<BlockReadResult> MemFs::ReadBlock(InodeId id, std::uint64_t offset,
+                                           std::uint32_t count) const {
   const Inode* node = Find(id);
   if (node == nullptr) return Unexpected(FsError::kStale);
   if (node->attr.type == FileType::kDirectory) return Unexpected(FsError::kIsDir);
-  ReadResult result;
-  if (offset >= node->data.size()) {
+  BlockReadResult result;
+  const std::uint64_t size = node->attr.size;
+  if (offset >= size) {
     result.eof = true;
     return result;
   }
-  const std::uint64_t end = std::min<std::uint64_t>(offset + count, node->data.size());
-  result.data.assign(node->data.begin() + static_cast<std::ptrdiff_t>(offset),
-                     node->data.begin() + static_cast<std::ptrdiff_t>(end));
-  result.eof = end == node->data.size();
+  const std::uint64_t end = std::min<std::uint64_t>(offset + count, size);
+  const std::size_t len = end - offset;
+  const BlockRef& block = node->blocks[offset / kBlockSize];
+  const std::uint64_t in_block = offset % kBlockSize;
+  if (in_block + len <= block.size()) {
+    result.data = block.Slice(in_block, len);  // within one stored block
+  } else {
+    CopyOut(*node, offset, result.data.Mutable(len, len), len);
+  }
+  result.eof = end == size;
   return result;
 }
 
 FsResult<std::uint64_t> MemFs::Write(InodeId id, std::uint64_t offset,
                                      const Bytes& data) {
+  return WriteRange(id, offset, ByteView(data), nullptr);
+}
+
+FsResult<std::uint64_t> MemFs::WriteBlock(InodeId id, std::uint64_t offset,
+                                          const BlockRef& data) {
+  return WriteRange(id, offset, data.view(), &data);
+}
+
+FsResult<std::uint64_t> MemFs::WriteRange(InodeId id, std::uint64_t offset,
+                                          ByteView data, const BlockRef* shared) {
   Inode* node = Find(id);
   if (node == nullptr) return Unexpected(FsError::kStale);
   if (node->attr.type == FileType::kDirectory) return Unexpected(FsError::kIsDir);
   const std::uint64_t end = offset + data.size();
-  if (end > node->data.size()) {
-    total_bytes_ += end - node->data.size();
-    node->data.resize(end, 0);
+  if (end > node->attr.size) {
+    total_bytes_ += end - node->attr.size;
+    Resize(*node, end);
   }
-  std::copy(data.begin(), data.end(),
-            node->data.begin() + static_cast<std::ptrdiff_t>(offset));
-  node->attr.size = node->data.size();
+  std::size_t done = 0;
+  while (done < data.size()) {
+    const std::uint64_t pos = offset + done;
+    BlockRef& block = node->blocks[pos / kBlockSize];
+    const std::uint64_t in_block = pos % kBlockSize;
+    const std::size_t take =
+        std::min<std::uint64_t>(kBlockSize - in_block, data.size() - done);
+    if (in_block == 0 && take >= block.size()) {
+      // Covers every stored byte of the block: keep the writer's bytes.
+      block = shared != nullptr ? shared->Slice(done, take)
+                                : BlockRef::Copy(data.subspan(done, take));
+    } else {
+      std::uint8_t* p =
+          block.Mutable(std::max<std::uint64_t>(block.size(), in_block + take),
+                        kBlockSize);
+      std::memcpy(p + in_block, data.data() + done, take);
+    }
+    done += take;
+  }
   node->attr.mtime = node->attr.ctime = Now();
   return node->attr.size;
 }

@@ -5,6 +5,11 @@
 // semantics: link counts, mtime/ctime maintenance, monotonically increasing
 // inode numbers (never reused, so a stale NFS handle reliably maps to
 // ESTALE), and deterministic readdir ordering.
+//
+// File bytes live in 32 KB refcounted blocks (common/block.h). A WRITE whose
+// data covers a whole block keeps the sender's block itself, and a READ
+// inside one block hands out a slice of it, so the server shares blocks with
+// the caches instead of holding its own copy.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/block.h"
 #include "common/expected.h"
 #include "common/types.h"
 
@@ -59,6 +65,13 @@ struct ReadResult {
   bool eof = false;
 };
 
+/// Zero-copy read result: a slice of the stored block when the range lies
+/// in one block, else a freshly assembled block.
+struct BlockReadResult {
+  BlockRef data;
+  bool eof = false;
+};
+
 /// Requested attribute changes; unset fields are left alone.
 struct SetAttrRequest {
   std::optional<std::uint32_t> mode;
@@ -96,10 +109,18 @@ class MemFs {
   /// Hard link: adds `name` in `dir` referring to existing regular file.
   FsResult<void> Link(InodeId file, InodeId dir, const std::string& name);
 
+  /// Copies the bytes out (setup and verification paths).
   FsResult<ReadResult> Read(InodeId id, std::uint64_t offset, std::uint32_t count) const;
+  /// The READ data path: shares the stored block when it can.
+  FsResult<BlockReadResult> ReadBlock(InodeId id, std::uint64_t offset,
+                                      std::uint32_t count) const;
 
   /// Returns the file size after the write.
   FsResult<std::uint64_t> Write(InodeId id, std::uint64_t offset, const Bytes& data);
+  /// The WRITE data path: a write covering a whole stored block adopts (a
+  /// slice of) `data` as that block; partial writes copy on write.
+  FsResult<std::uint64_t> WriteBlock(InodeId id, std::uint64_t offset,
+                                     const BlockRef& data);
 
   /// Lists entries starting after `cookie` (0 = from the beginning), at most
   /// max_entries. Deterministic (name-sorted) order.
@@ -109,14 +130,20 @@ class MemFs {
   /// Convenience for tests/workload setup: resolves an absolute slash path.
   FsResult<InodeId> ResolvePath(const std::string& path) const;
 
-  /// Total bytes of file content stored (for FSSTAT).
+  /// Total logical bytes of file content (the sum of file sizes; FSSTAT).
   std::uint64_t TotalBytes() const { return total_bytes_; }
   std::uint64_t InodeCount() const { return inodes_.size(); }
 
+  /// Files are stored as refs to blocks of this many bytes.
+  static constexpr std::uint64_t kBlockSize = 32 * 1024;
+
  private:
+  /// A regular file's bytes: block i holds file bytes [i * kBlockSize,
+  /// (i + 1) * kBlockSize). A block may store fewer bytes than that range
+  /// (or be empty): bytes past its end, up to the file size, read as zero.
   struct Inode {
     InodeAttr attr;
-    Bytes data;                              // regular files
+    std::vector<BlockRef> blocks;            // regular files
     std::map<std::string, InodeId> entries;  // directories
   };
 
@@ -130,6 +157,17 @@ class MemFs {
   InodeId NewInode(FileType type, std::uint32_t mode);
   void TouchDir(Inode& dir);
   void Unref(InodeId id);
+
+  /// Sets a file's size: drops or trims blocks past a smaller size; a
+  /// larger size reads as zeros until written.
+  void Resize(Inode& node, std::uint64_t size);
+  /// Copies file bytes [offset, offset + out.size()) into `out`.
+  static void CopyOut(const Inode& node, std::uint64_t offset, std::uint8_t* out,
+                      std::size_t len);
+  /// Stores `data` at `offset`. `shared`, when non-null, holds the same
+  /// bytes as `data`; whole-block writes then adopt slices of it.
+  FsResult<std::uint64_t> WriteRange(InodeId id, std::uint64_t offset, ByteView data,
+                                     const BlockRef* shared);
 
   const SimTime* clock_;
   std::map<InodeId, std::unique_ptr<Inode>> inodes_;

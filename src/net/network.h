@@ -23,6 +23,7 @@
 #include "common/types.h"
 #include "sim/scheduler.h"
 #include "trace/trace.h"
+#include "xdr/xdr.h"
 
 namespace gvfs::net {
 
@@ -35,12 +36,16 @@ struct Address {
   friend auto operator<=>(const Address&, const Address&) = default;
 };
 
-/// An opaque datagram in flight. `wire_size` includes all header overhead.
+/// An opaque datagram in flight. `wire_size` includes all header overhead
+/// and the padded bytes of every spliced block: the blocks ride by
+/// reference, but the link is charged for them as if they were inline.
 struct Packet {
   Address src;
   Address dst;
   std::size_t wire_size = 0;
   Bytes payload;
+  /// Blocks spliced into `payload` (positions relative to its start).
+  xdr::SpliceList splices;
 };
 
 struct LinkConfig {

@@ -337,7 +337,7 @@ void ReadRes::Encode(xdr::Encoder& enc) const {
   if (status == Status::kOk) {
     enc.PutU32(count);
     enc.PutBool(eof);
-    enc.PutOpaque(data);
+    enc.PutBlock(data);
   }
 }
 
@@ -352,8 +352,8 @@ DecodeResult<ReadRes> ReadRes::Decode(xdr::Decoder& dec) {
     out.count = count;
     GVFS_TRY(eof, dec.GetBool());
     out.eof = eof;
-    GVFS_TRY(data, dec.GetOpaque());
-    out.data = data.Copy();
+    GVFS_TRY(data, dec.GetBlock());
+    out.data = std::move(data);
   }
   return out;
 }
@@ -362,7 +362,7 @@ void WriteArgs::Encode(xdr::Encoder& enc) const {
   file.Encode(enc);
   enc.PutU64(offset);
   enc.PutU32(static_cast<std::uint32_t>(stable));
-  enc.PutOpaque(data);
+  enc.PutBlock(data);
 }
 
 DecodeResult<WriteArgs> WriteArgs::Decode(xdr::Decoder& dec) {
@@ -373,8 +373,8 @@ DecodeResult<WriteArgs> WriteArgs::Decode(xdr::Decoder& dec) {
   out.offset = offset;
   GVFS_TRY(stable, dec.GetU32());
   out.stable = static_cast<StableHow>(stable);
-  GVFS_TRY(data, dec.GetOpaque());
-  out.data = data.Copy();
+  GVFS_TRY(data, dec.GetBlock());
+  out.data = std::move(data);
   return out;
 }
 

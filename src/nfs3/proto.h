@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/block.h"
 #include "common/expected.h"
 #include "common/types.h"
 #include "memfs/memfs.h"
@@ -190,7 +191,8 @@ struct ReadRes {
   PostOpAttr attr;
   std::uint32_t count = 0;
   bool eof = false;
-  Bytes data;
+  /// Carried by reference (an xdr splice): the reply shares the block.
+  BlockRef data;
   void Encode(xdr::Encoder& enc) const;
   static DecodeResult<ReadRes> Decode(xdr::Decoder& dec);
 };
@@ -201,7 +203,8 @@ struct WriteArgs {
   Fh file;
   std::uint64_t offset = 0;
   StableHow stable = StableHow::kUnstable;
-  Bytes data;
+  /// Carried by reference (an xdr splice): the request shares the block.
+  BlockRef data;
   void Encode(xdr::Encoder& enc) const;
   static DecodeResult<WriteArgs> Decode(xdr::Decoder& dec);
 };
@@ -339,22 +342,36 @@ struct CommitRes {
   static DecodeResult<CommitRes> Decode(xdr::Decoder& dec);
 };
 
-/// Serializes any message with an Encode method.
+/// Serializes any message with an Encode method. File data stays spliced.
 template <typename T>
-Bytes Serialize(const T& msg) {
+xdr::Message Serialize(const T& msg) {
   xdr::Encoder enc;
   msg.Encode(enc);
-  return enc.Take();
+  return enc.Finish();
 }
 
-/// Parses a message; returns nullopt on any decode error. Accepts any view
-/// of the body bytes (Bytes, rpc::Body, xdr::View) without copying.
+/// Parses a message; returns nullopt on any decode error. Data fields come
+/// back as the message's own spliced blocks, without copying.
+template <typename T>
+std::optional<T> Parse(const xdr::Message& body) {
+  xdr::Decoder dec(body);
+  auto result = T::Decode(dec);
+  if (!result) return std::nullopt;
+  return std::move(*result);
+}
+
+/// Parses flat XDR bytes (no splices; data fields are copied out).
 template <typename T>
 std::optional<T> Parse(ByteView body) {
   xdr::Decoder dec(body);
   auto result = T::Decode(dec);
   if (!result) return std::nullopt;
   return std::move(*result);
+}
+
+template <typename T>
+std::optional<T> Parse(const Bytes& body) {
+  return Parse<T>(ByteView(body));
 }
 
 }  // namespace gvfs::nfs3

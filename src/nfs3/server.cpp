@@ -12,7 +12,7 @@ constexpr std::uint64_t kBlockSize = 32 * 1024;
 
 /// Encodes a status-only failure reply for any result type.
 template <typename Res>
-Bytes FailWith(Status status) {
+rpc::Body FailWith(Status status) {
   Res res;
   res.status = status;
   return Serialize(res);
@@ -27,11 +27,11 @@ Nfs3Server::Nfs3Server(sim::Scheduler& sched, memfs::MemFs& fs, rpc::RpcNode& no
   // coroutines whose frames hold `this` plus moved-in args. The stats handle
   // is resolved once here, not per request.
   auto bind = [this, &node](Proc proc,
-                            sim::Task<Bytes> (Nfs3Server::*method)(rpc::Body)) {
+                            sim::Task<rpc::Body> (Nfs3Server::*method)(rpc::Body)) {
     const rpc::StatsMap::Handle stat = served_.Intern(ProcName(proc));
     node.RegisterHandler(kProgram, proc,
                          [this, stat, method](rpc::CallContext, rpc::Body args) {
-                           served_.Count(stat, args.size());
+                           served_.Count(stat, args.WireSize());
                            return (this->*method)(std::move(args));
                          });
   };
@@ -51,8 +51,8 @@ Nfs3Server::Nfs3Server(sim::Scheduler& sched, memfs::MemFs& fs, rpc::RpcNode& no
   bind(kFsStat, &Nfs3Server::HandleFsStat);
   bind(kCommit, &Nfs3Server::HandleCommit);
   node.RegisterHandler(kProgram, kNull,
-                       [](rpc::CallContext, rpc::Body) -> sim::Task<Bytes> {
-                         co_return Bytes{};
+                       [](rpc::CallContext, rpc::Body) -> sim::Task<rpc::Body> {
+                         co_return rpc::Body{};
                        });
 }
 
@@ -68,7 +68,7 @@ PostOpAttr Nfs3Server::AttrOf(memfs::InodeId ino) const {
   return ToFattr(*attr);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleGetAttr(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleGetAttr(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<GetAttrArgs>(args);
   if (!parsed) co_return FailWith<GetAttrRes>(Status::kBadHandle);
@@ -82,7 +82,7 @@ sim::Task<Bytes> Nfs3Server::HandleGetAttr(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleSetAttr(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleSetAttr(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<SetAttrArgs>(args);
   if (!parsed) co_return FailWith<SetAttrRes>(Status::kBadHandle);
@@ -100,7 +100,7 @@ sim::Task<Bytes> Nfs3Server::HandleSetAttr(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleLookup(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleLookup(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<LookupArgs>(args);
   if (!parsed) co_return FailWith<LookupRes>(Status::kBadHandle);
@@ -116,7 +116,7 @@ sim::Task<Bytes> Nfs3Server::HandleLookup(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleAccess(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleAccess(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<AccessArgs>(args);
   if (!parsed) co_return FailWith<AccessRes>(Status::kBadHandle);
@@ -130,12 +130,12 @@ sim::Task<Bytes> Nfs3Server::HandleAccess(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleRead(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleRead(rpc::Body args) {
   auto parsed = Parse<ReadArgs>(args);
   if (!parsed) co_return FailWith<ReadRes>(Status::kBadHandle);
   co_await Service((parsed->count + kBlockSize - 1) / kBlockSize);
   ReadRes res;
-  auto data = fs_.Read(parsed->file.ino, parsed->offset, parsed->count);
+  auto data = fs_.ReadBlock(parsed->file.ino, parsed->offset, parsed->count);
   res.attr = AttrOf(parsed->file.ino);
   if (!data) {
     res.status = FromFsError(data.error());
@@ -147,12 +147,12 @@ sim::Task<Bytes> Nfs3Server::HandleRead(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleWrite(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleWrite(rpc::Body args) {
   auto parsed = Parse<WriteArgs>(args);
   if (!parsed) co_return FailWith<WriteRes>(Status::kBadHandle);
   co_await Service((parsed->data.size() + kBlockSize - 1) / kBlockSize);
   WriteRes res;
-  auto written = fs_.Write(parsed->file.ino, parsed->offset, parsed->data);
+  auto written = fs_.WriteBlock(parsed->file.ino, parsed->offset, parsed->data);
   res.attr = AttrOf(parsed->file.ino);
   if (!written) {
     res.status = FromFsError(written.error());
@@ -165,7 +165,7 @@ sim::Task<Bytes> Nfs3Server::HandleWrite(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleCreate(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleCreate(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<CreateArgs>(args);
   if (!parsed) co_return FailWith<CreateRes>(Status::kBadHandle);
@@ -191,7 +191,7 @@ sim::Task<Bytes> Nfs3Server::HandleCreate(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleMkdir(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleMkdir(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<MkdirArgs>(args);
   if (!parsed) co_return FailWith<MkdirRes>(Status::kBadHandle);
@@ -207,7 +207,7 @@ sim::Task<Bytes> Nfs3Server::HandleMkdir(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleRemove(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleRemove(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<RemoveArgs>(args);
   if (!parsed) co_return FailWith<RemoveRes>(Status::kBadHandle);
@@ -218,7 +218,7 @@ sim::Task<Bytes> Nfs3Server::HandleRemove(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleRmdir(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleRmdir(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<RmdirArgs>(args);
   if (!parsed) co_return FailWith<RmdirRes>(Status::kBadHandle);
@@ -229,7 +229,7 @@ sim::Task<Bytes> Nfs3Server::HandleRmdir(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleRename(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleRename(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<RenameArgs>(args);
   if (!parsed) co_return FailWith<RenameRes>(Status::kBadHandle);
@@ -242,7 +242,7 @@ sim::Task<Bytes> Nfs3Server::HandleRename(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleLink(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleLink(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<LinkArgs>(args);
   if (!parsed) co_return FailWith<LinkRes>(Status::kBadHandle);
@@ -254,7 +254,7 @@ sim::Task<Bytes> Nfs3Server::HandleLink(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleReadDir(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleReadDir(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<ReadDirArgs>(args);
   if (!parsed) co_return FailWith<ReadDirRes>(Status::kBadHandle);
@@ -272,7 +272,7 @@ sim::Task<Bytes> Nfs3Server::HandleReadDir(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleFsStat(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleFsStat(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<FsStatArgs>(args);
   if (!parsed) co_return FailWith<FsStatRes>(Status::kBadHandle);
@@ -283,7 +283,7 @@ sim::Task<Bytes> Nfs3Server::HandleFsStat(rpc::Body args) {
   co_return Serialize(res);
 }
 
-sim::Task<Bytes> Nfs3Server::HandleCommit(rpc::Body args) {
+sim::Task<rpc::Body> Nfs3Server::HandleCommit(rpc::Body args) {
   co_await Service();
   auto parsed = Parse<CommitArgs>(args);
   if (!parsed) co_return FailWith<CommitRes>(Status::kBadHandle);

@@ -43,21 +43,21 @@ class Nfs3Server {
   const rpc::StatsMap& served() const { return served_; }
 
  private:
-  sim::Task<Bytes> HandleGetAttr(rpc::Body args);
-  sim::Task<Bytes> HandleSetAttr(rpc::Body args);
-  sim::Task<Bytes> HandleLookup(rpc::Body args);
-  sim::Task<Bytes> HandleAccess(rpc::Body args);
-  sim::Task<Bytes> HandleRead(rpc::Body args);
-  sim::Task<Bytes> HandleWrite(rpc::Body args);
-  sim::Task<Bytes> HandleCreate(rpc::Body args);
-  sim::Task<Bytes> HandleMkdir(rpc::Body args);
-  sim::Task<Bytes> HandleRemove(rpc::Body args);
-  sim::Task<Bytes> HandleRmdir(rpc::Body args);
-  sim::Task<Bytes> HandleRename(rpc::Body args);
-  sim::Task<Bytes> HandleLink(rpc::Body args);
-  sim::Task<Bytes> HandleReadDir(rpc::Body args);
-  sim::Task<Bytes> HandleFsStat(rpc::Body args);
-  sim::Task<Bytes> HandleCommit(rpc::Body args);
+  sim::Task<rpc::Body> HandleGetAttr(rpc::Body args);
+  sim::Task<rpc::Body> HandleSetAttr(rpc::Body args);
+  sim::Task<rpc::Body> HandleLookup(rpc::Body args);
+  sim::Task<rpc::Body> HandleAccess(rpc::Body args);
+  sim::Task<rpc::Body> HandleRead(rpc::Body args);
+  sim::Task<rpc::Body> HandleWrite(rpc::Body args);
+  sim::Task<rpc::Body> HandleCreate(rpc::Body args);
+  sim::Task<rpc::Body> HandleMkdir(rpc::Body args);
+  sim::Task<rpc::Body> HandleRemove(rpc::Body args);
+  sim::Task<rpc::Body> HandleRmdir(rpc::Body args);
+  sim::Task<rpc::Body> HandleRename(rpc::Body args);
+  sim::Task<rpc::Body> HandleLink(rpc::Body args);
+  sim::Task<rpc::Body> HandleReadDir(rpc::Body args);
+  sim::Task<rpc::Body> HandleFsStat(rpc::Body args);
+  sim::Task<rpc::Body> HandleCommit(rpc::Body args);
 
   /// Charges base service time (plus per-block time for `blocks` blocks).
   /// Returns the Sleep awaitable directly — a full coroutine frame per

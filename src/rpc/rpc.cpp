@@ -19,6 +19,17 @@ std::uint64_t ProgProcKey(std::uint32_t prog, std::uint32_t proc) {
   return (static_cast<std::uint64_t>(prog) << 32) | proc;
 }
 
+/// Moves `packet`'s buffer and splices into the Body whose inline bytes are
+/// `window` (a view into that buffer). Every splice lies inside the body —
+/// RPC headers carry none — so their positions re-base onto its start.
+Body TakeBody(net::Packet& packet, const xdr::View& window) {
+  const std::size_t offset =
+      static_cast<std::size_t>(window.ptr - packet.payload.data());
+  packet.splices.Shift(-static_cast<std::int64_t>(offset));
+  return Body(std::move(packet.payload), offset, window.len,
+              std::move(packet.splices));
+}
+
 }  // namespace
 
 /// Awaits a reply in `pc` until `deadline`. Mirrors OneShot::WaitUntil, but
@@ -116,7 +127,7 @@ void RpcNode::SetDown(bool down) {
 }
 
 void RpcNode::SendCall(net::Address dst, std::uint32_t xid, std::uint32_t prog,
-                       std::uint32_t proc, const Bytes& args, bool tracked,
+                       std::uint32_t proc, const Body& args, bool tracked,
                        StatsMap::Handle stat_handle, std::uint64_t trace_id,
                        std::uint64_t span_id, std::uint64_t parent_span_id) {
   xdr::Encoder enc;
@@ -132,39 +143,43 @@ void RpcNode::SendCall(net::Address dst, std::uint32_t xid, std::uint32_t prog,
   xdr::Encoder::StoreBe64(h + 16, trace_id);
   xdr::Encoder::StoreBe64(h + 24, span_id);
   xdr::Encoder::StoreBe64(h + 32, parent_span_id);
-  enc.PutOpaque(args);
+  enc.PutSpliced(args.view(), args.splices());
 
   net::Packet packet;
   packet.src = address_;
   packet.dst = dst;
+  packet.splices = enc.TakeSplices();
   packet.payload = enc.Take();
-  packet.wire_size = packet.payload.size() + kDatagramOverhead;
+  packet.wire_size = packet.payload.size() + packet.splices.WireBytes() +
+                     kDatagramOverhead;
 
   if (tracked) stats_->Count(stat_handle, packet.wire_size);
   network_.Send(std::move(packet));
 }
 
 void RpcNode::SendReply(net::Address dst, std::uint32_t xid, AcceptStat stat,
-                        const Bytes& body) {
+                        ByteView body, const xdr::SpliceList& splices) {
   xdr::Encoder enc;
   // Fixed 12-byte reply header: xid, msg type, accept stat.
   std::uint8_t* h = enc.Reserve(12);
   xdr::Encoder::StoreBe32(h, xid);
   xdr::Encoder::StoreBe32(h + 4, kMsgReply);
   xdr::Encoder::StoreBe32(h + 8, static_cast<std::uint32_t>(stat));
-  enc.PutOpaque(body);
+  enc.PutSpliced(body, splices);
 
   net::Packet packet;
   packet.src = address_;
   packet.dst = dst;
+  packet.splices = enc.TakeSplices();
   packet.payload = enc.Take();
-  packet.wire_size = packet.payload.size() + kDatagramOverhead;
+  packet.wire_size = packet.payload.size() + packet.splices.WireBytes() +
+                     kDatagramOverhead;
   network_.Send(std::move(packet));
 }
 
 sim::Task<Expected<Body, RpcError>> RpcNode::Call(net::Address dst,
                                                   std::uint32_t prog,
-                                                  std::uint32_t proc, Bytes args,
+                                                  std::uint32_t proc, Body args,
                                                   CallOptions opts) {
   if (down_) co_return Unexpected(RpcError::kHostDown);
 
@@ -205,8 +220,6 @@ sim::Task<Expected<Body, RpcError>> RpcNode::Call(net::Address dst,
                opts.label.c_str(), xid, attempt + 1);
   }
   pending_.Erase(xid);
-  // The args buffer usually came from an Encoder; recycle its capacity.
-  xdr::detail::ArenaRelease(std::move(args));
   if (tracer_.enabled()) {
     tracer_.Rpc(reply.has_value() ? trace::EventType::kRpcReply
                                   : trace::EventType::kRpcTimeout,
@@ -252,11 +265,8 @@ void RpcNode::OnPacket(net::Packet packet) {
     if (pc.reply.has_value()) return;  // duplicate reply; first wins
     // Zero-copy handoff: the reply body is a window into the datagram
     // buffer, which moves into the Body (and back to the arena when the
-    // caller drops it).
-    const std::size_t offset =
-        static_cast<std::size_t>(body->ptr - packet.payload.data());
-    pc.reply = Reply{static_cast<AcceptStat>(stat),
-                     Body(std::move(packet.payload), offset, body->len)};
+    // caller drops it), along with the datagram's spliced blocks.
+    pc.reply = Reply{static_cast<AcceptStat>(stat), TakeBody(packet, *body)};
     if (pc.waiter) {
       auto waiter = std::exchange(pc.waiter, {});
       // Cancel-then-post mirrors OneShot::Set exactly, so the event sequence
@@ -286,7 +296,7 @@ void RpcNode::OnPacket(net::Packet packet) {
         tracer_.Rpc(trace::EventType::kRpcDrcHit, address_.host, address_.port,
                     packet.src.host, packet.src.port, xid, prog, proc, "");
       }
-      SendReply(packet.src, xid, hit->stat, hit->reply);
+      SendReply(packet.src, xid, hit->stat, hit->reply, hit->splices);
     }
     // In progress: drop the duplicate; the original execution will reply.
     return;
@@ -294,18 +304,16 @@ void RpcNode::OnPacket(net::Packet packet) {
 
   Handler* handler = FindHandler(prog, proc);
   if (handler == nullptr) {
-    SendReply(packet.src, xid, AcceptStat::kProcUnavail, {});
+    SendReply(packet.src, xid, AcceptStat::kProcUnavail, {}, {});
     return;
   }
 
   auto args = dec.GetOpaque();
   if (!args) {
-    SendReply(packet.src, xid, AcceptStat::kGarbageArgs, {});
+    SendReply(packet.src, xid, AcceptStat::kGarbageArgs, {}, {});
     return;
   }
-  const std::size_t offset =
-      static_cast<std::size_t>(args->ptr - packet.payload.data());
-  Body body(std::move(packet.payload), offset, args->len);
+  Body body = TakeBody(packet, *args);
   DrcInsert(key);
   if (tracer_.enabled()) {
     tracer_.Rpc(trace::EventType::kRpcExec, address_.host, address_.port,
@@ -320,7 +328,7 @@ void RpcNode::OnPacket(net::Packet packet) {
 
 sim::Task<void> RpcNode::RunHandler(const Handler& handler, CallContext ctx,
                                     Body args, DrcKey key) {
-  Bytes body = co_await handler(ctx, std::move(args));
+  Body body = co_await handler(ctx, std::move(args));
   if (down_) co_return;  // crashed while serving; no reply
   // Closes the server-side execution interval opened by kRpcExec, so the
   // exporter can render the handler as a duration slice.
@@ -329,17 +337,25 @@ sim::Task<void> RpcNode::RunHandler(const Handler& handler, CallContext ctx,
                 ctx.caller.host, ctx.caller.port, ctx.xid, 0, 0, "",
                 ctx.span.trace_id, ctx.span.span_id, 0);
   }
-  SendReply(ctx.caller, ctx.xid, AcceptStat::kSuccess, body);
-  // The DRC takes the reply buffer by move (SendReply already copied it into
-  // the outgoing packet), avoiding a per-call copy; buffers come from
-  // per-handler Encoders and return to the arena when evicted (DrcTrim).
+  SendReply(ctx.caller, ctx.xid, AcceptStat::kSuccess, body.view(), body.splices());
+  // The DRC copies exactly the reply's inline bytes and shares its blocks.
+  // Keeping `body`'s buffer instead would pin its capacity, which the
+  // encode arena may have recycled from a far larger message; the buffer
+  // goes back to the arena when `body` dies here.
   if (DrcEntry* entry = drc_.Find(key); entry != nullptr) {
     entry->completed = true;
     entry->stat = AcceptStat::kSuccess;
-    entry->reply = std::move(body);
-  } else {
-    xdr::detail::ArenaRelease(std::move(body));
+    entry->reply = Bytes(body.data(), body.data() + body.size());
+    entry->splices = body.splices();
   }
+}
+
+std::size_t RpcNode::DrcRetainedBytes() const {
+  std::size_t bytes = 0;
+  drc_.ForEach([&](const DrcKey&, const DrcEntry& entry) {
+    bytes += entry.reply.capacity();
+  });
+  return bytes;
 }
 
 void RpcNode::DrcInsert(const DrcKey& key) {
@@ -350,10 +366,7 @@ void RpcNode::DrcInsert(const DrcKey& key) {
 
 void RpcNode::DrcTrim() {
   while (drc_order_.size() > kDrcCapacity) {
-    DrcEntry evicted;
-    if (drc_.Extract(drc_order_.front(), &evicted)) {
-      xdr::detail::ArenaRelease(std::move(evicted.reply));
-    }
+    drc_.Erase(drc_order_.front());
     drc_order_.pop_front();
   }
 }

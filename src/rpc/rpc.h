@@ -52,62 +52,13 @@ enum class RpcError {
 
 const char* RpcErrorName(RpcError e);
 
-/// A received RPC message body: a zero-copy window into the datagram that
-/// carried it. Owns the datagram buffer and recycles it into the XDR encode
-/// arena on destruction, closing the buffer lifecycle (Encoder -> packet ->
-/// Body -> arena). Decode through the ByteView conversion; call ToBytes()
-/// for the rare paths that need an owned copy.
-///
-/// NOTE: ctors are user-declared (non-aggregate) on purpose — same GCC 12
-/// by-value coroutine parameter rule as CallOptions below.
-class Body {
- public:
-  Body() = default;
-  /// Takes ownership of `buffer`; the body is buffer[offset, offset+len).
-  Body(Bytes buffer, std::size_t offset, std::size_t len)
-      : buffer_(std::move(buffer)), offset_(offset), len_(len) {}
-
-  Body(Body&& o) noexcept
-      : buffer_(std::move(o.buffer_)),
-        offset_(std::exchange(o.offset_, 0)),
-        len_(std::exchange(o.len_, 0)) {}
-
-  Body& operator=(Body&& o) noexcept {
-    if (this != &o) {
-      Release();
-      buffer_ = std::move(o.buffer_);
-      offset_ = std::exchange(o.offset_, 0);
-      len_ = std::exchange(o.len_, 0);
-    }
-    return *this;
-  }
-
-  Body(const Body&) = delete;
-  Body& operator=(const Body&) = delete;
-
-  ~Body() { Release(); }
-
-  const std::uint8_t* data() const { return buffer_.data() + offset_; }
-  std::size_t size() const { return len_; }
-  bool empty() const { return len_ == 0; }
-
-  ByteView view() const { return ByteView(data(), len_); }
-  operator ByteView() const { return view(); }  // NOLINT: view adaptor
-
-  /// Ownership escape hatch: materializes just the body bytes.
-  Bytes ToBytes() const { return Bytes(data(), data() + len_); }
-
- private:
-  void Release() {
-    if (buffer_.capacity() != 0) xdr::detail::ArenaRelease(std::move(buffer_));
-    offset_ = 0;
-    len_ = 0;
-  }
-
-  Bytes buffer_;
-  std::size_t offset_ = 0;
-  std::size_t len_ = 0;
-};
+/// An RPC message body: the argument or reply bytes of one call, owned.
+/// Received bodies are zero-copy windows into the datagram that carried
+/// them, with the datagram's spliced blocks attached; the datagram buffer
+/// returns to the XDR encode arena when the body dies (Encoder -> packet ->
+/// Body -> arena). Handlers reply with a Body, and a proxy forwards a
+/// received Body as the next call's arguments without copying its data.
+using Body = xdr::Message;
 
 /// Per-call knobs. `label` names the procedure in stats output.
 ///
@@ -144,7 +95,7 @@ struct CallContext {
 /// Handlers return the XDR-encoded reply body; protocol-level errors (e.g.
 /// NFS3ERR_*) ride inside that body as in real NFS.
 // gvfs-lint: allow(hot-path-type): handler erasure happens once at Register time; dispatch stores and calls it without re-wrapping
-using Handler = std::function<sim::Task<Bytes>(CallContext, Body)>;
+using Handler = std::function<sim::Task<Body>(CallContext, Body)>;
 
 class RpcNode {
  public:
@@ -160,8 +111,10 @@ class RpcNode {
   void RegisterHandler(std::uint32_t prog, std::uint32_t proc, Handler handler);
 
   /// Issues a call and awaits the matching reply, retransmitting on timeout.
+  /// `args` may be a freshly encoded message or a received Body being
+  /// forwarded; either way its blocks travel by reference.
   sim::Task<Expected<Body, RpcError>> Call(net::Address dst, std::uint32_t prog,
-                                           std::uint32_t proc, Bytes args,
+                                           std::uint32_t proc, Body args,
                                            CallOptions opts);
 
   /// Attaches a per-procedure stats sink (counts outgoing calls). May be null.
@@ -183,6 +136,10 @@ class RpcNode {
 
   /// Called by the host packet mux.
   void OnPacket(net::Packet packet);
+
+  /// Heap bytes the duplicate-request cache holds of its own: the inline
+  /// reply buffers (spliced blocks are shared with their other holders).
+  std::size_t DrcRetainedBytes() const;
 
  private:
   enum class AcceptStat : std::uint32_t {
@@ -210,11 +167,15 @@ class RpcNode {
 
   struct ReplyAwaiter;  // defined in rpc.cpp; awaits a PendingCall
 
-  // Duplicate-request cache entry. `reply` is empty while in progress.
+  // Duplicate-request cache entry. `reply` is empty while in progress; once
+  // completed it holds an exact-size copy of the sent reply's inline bytes
+  // (never a recycled buffer's spare capacity) and `splices` shares its
+  // blocks.
   struct DrcEntry {
     bool completed = false;
     AcceptStat stat = AcceptStat::kSuccess;
     Bytes reply;
+    xdr::SpliceList splices;
   };
 
   struct DrcKey {
@@ -252,11 +213,11 @@ class RpcNode {
                                  const std::string& label);
 
   void SendCall(net::Address dst, std::uint32_t xid, std::uint32_t prog,
-                std::uint32_t proc, const Bytes& args, bool tracked,
+                std::uint32_t proc, const Body& args, bool tracked,
                 StatsMap::Handle stat_handle, std::uint64_t trace_id,
                 std::uint64_t span_id, std::uint64_t parent_span_id);
   void SendReply(net::Address dst, std::uint32_t xid, AcceptStat stat,
-                 const Bytes& body);
+                 ByteView body, const xdr::SpliceList& splices);
   sim::Task<void> RunHandler(const Handler& handler, CallContext ctx,
                              Body args, DrcKey key);
   void DrcInsert(const DrcKey& key);

@@ -13,16 +13,26 @@
 //   - Decoder is zero-copy: GetOpaque/GetFixedOpaque/GetString return views
 //     (View / StrView) into the message buffer rather than fresh allocations.
 //     Callers that outlive the buffer take ownership explicitly via .Copy().
+//   - File data never enters the buffer at all. Encoder::PutBlock writes the
+//     opaque's length word inline and records a *splice*: a shared BlockRef
+//     whose padded bytes sit on the simulated wire right after that word.
+//     Decoder::GetBlock hands the same ref back. The encoded Message counts
+//     spliced bytes in WireSize(), so every simulated size is that of the
+//     flat XDR encoding (Flatten()).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/block.h"
 #include "common/expected.h"
 #include "common/types.h"
 
@@ -58,6 +68,202 @@ inline void ArenaRelease(Bytes&& buf) {
 }
 
 }  // namespace detail
+
+/// XDR pads every opaque to a 4-byte boundary.
+constexpr std::size_t Padded(std::size_t len) { return (len + 3) & ~std::size_t{3}; }
+
+/// A block carried by reference inside an encoded message. On the
+/// simulated wire its padded bytes follow the inline byte at `pos` (the
+/// position just after the opaque's length word).
+struct Splice {
+  std::uint32_t pos = 0;
+  BlockRef block;
+};
+
+/// The splices of one message, in position order. One pointer wide and
+/// allocation-free while empty, so a message without data costs nothing
+/// extra (and a packet-delivery closure still fits the scheduler's inline
+/// event storage); the first splice costs one allocation, header included.
+class SpliceList {
+ public:
+  SpliceList() = default;
+  SpliceList(SpliceList&& o) noexcept : rep_(std::exchange(o.rep_, nullptr)) {}
+  SpliceList& operator=(SpliceList&& o) noexcept {
+    SpliceList moved(std::move(o));
+    std::swap(rep_, moved.rep_);
+    return *this;
+  }
+  SpliceList(const SpliceList& o) {
+    if (o.empty()) return;
+    rep_ = Rep::Allocate(o.rep_->size);
+    for (const Splice& s : o) ::new (rep_->items() + rep_->size++) Splice(s);
+  }
+  SpliceList& operator=(const SpliceList& o) {
+    SpliceList copy(o);
+    std::swap(rep_, copy.rep_);
+    return *this;
+  }
+  ~SpliceList() { clear(); }
+
+  bool empty() const { return rep_ == nullptr || rep_->size == 0; }
+  std::size_t size() const { return rep_ == nullptr ? 0 : rep_->size; }
+  const Splice* begin() const { return rep_ == nullptr ? nullptr : rep_->items(); }
+  const Splice* end() const { return rep_ == nullptr ? nullptr : rep_->items() + rep_->size; }
+  const Splice& back() const { return rep_->items()[rep_->size - 1]; }
+
+  void push_back(Splice splice) {
+    if (rep_ == nullptr || rep_->size == rep_->cap) {
+      Rep* grown = Rep::Allocate(rep_ == nullptr ? 1 : 2 * rep_->cap);
+      for (Splice& s : Items()) ::new (grown->items() + grown->size++) Splice(std::move(s));
+      clear();
+      rep_ = grown;
+    }
+    ::new (rep_->items() + rep_->size++) Splice(std::move(splice));
+  }
+
+  /// Appends `other`'s splices with their positions moved by `delta`.
+  void AppendShifted(const SpliceList& other, std::int64_t delta) {
+    for (const Splice& s : other) {
+      push_back(Splice{static_cast<std::uint32_t>(s.pos + delta), s.block});
+    }
+  }
+
+  /// Moves every position by `delta` (re-basing onto an enclosing buffer).
+  void Shift(std::int64_t delta) {
+    for (Splice& s : Items()) s.pos = static_cast<std::uint32_t>(s.pos + delta);
+  }
+
+  /// Padded bytes the splices add to the wire.
+  std::size_t WireBytes() const {
+    std::size_t n = 0;
+    for (const Splice& s : *this) n += Padded(s.block.size());
+    return n;
+  }
+
+  void clear() {
+    if (rep_ == nullptr) return;
+    for (Splice& s : Items()) s.~Splice();
+    ::operator delete(rep_);
+    rep_ = nullptr;
+  }
+
+ private:
+  /// Header of the one allocation; `cap` splices follow it.
+  struct Rep {
+    std::uint32_t size = 0;
+    std::uint32_t cap = 0;
+    Splice* items() { return reinterpret_cast<Splice*>(this + 1); }
+
+    static Rep* Allocate(std::uint32_t cap) {
+      Rep* rep = ::new (::operator new(sizeof(Rep) + cap * sizeof(Splice))) Rep;
+      rep->cap = cap;
+      return rep;
+    }
+  };
+  static_assert(sizeof(Rep) % alignof(Splice) == 0);
+
+  std::span<Splice> Items() {
+    return rep_ == nullptr ? std::span<Splice>() : std::span<Splice>(rep_->items(), rep_->size);
+  }
+
+  Rep* rep_ = nullptr;
+};
+
+/// An owned encoded message: the inline XDR bytes buffer[offset, offset +
+/// size) plus the blocks spliced into them (positions relative to the
+/// window's first byte). Received RPC bodies are windows into the datagram
+/// that carried them; the buffer returns to the encode arena when the
+/// message dies. Move-only.
+///
+/// NOTE: ctors are user-declared (non-aggregate) on purpose — see the GCC 12
+/// by-value coroutine parameter note on rpc::CallOptions.
+class Message {
+ public:
+  Message() = default;
+  /// An inline-only message owning all of `bytes`.
+  Message(Bytes bytes)  // NOLINT(google-explicit-constructor): inline message
+      : len_(bytes.size()), buffer_(std::move(bytes)) {}
+  Message(Bytes buffer, std::size_t offset, std::size_t len, SpliceList splices)
+      : offset_(offset), len_(len), buffer_(std::move(buffer)), splices_(std::move(splices)) {}
+
+  Message(Message&& o) noexcept
+      : offset_(std::exchange(o.offset_, 0)),
+        len_(std::exchange(o.len_, 0)),
+        buffer_(std::move(o.buffer_)),
+        splices_(std::move(o.splices_)) {}
+
+  Message& operator=(Message&& o) noexcept {
+    if (this != &o) {
+      Release();
+      offset_ = std::exchange(o.offset_, 0);
+      len_ = std::exchange(o.len_, 0);
+      buffer_ = std::move(o.buffer_);
+      splices_ = std::move(o.splices_);
+    }
+    return *this;
+  }
+
+  Message(const Message&) = delete;
+  Message& operator=(const Message&) = delete;
+
+  ~Message() { Release(); }
+
+  /// Inline bytes only (spliced blocks are not in this window).
+  const std::uint8_t* data() const { return buffer_.data() + offset_; }
+  std::size_t size() const { return len_; }
+  bool empty() const { return len_ == 0 && splices_.empty(); }
+  ByteView view() const { return ByteView(data(), len_); }
+  const SpliceList& splices() const { return splices_; }
+
+  /// Bytes this message occupies on the simulated wire: inline bytes plus
+  /// every spliced block padded to 4 — the size of its flat XDR encoding.
+  std::size_t WireSize() const { return len_ + splices_.WireBytes(); }
+
+  /// The flat XDR encoding, spliced blocks inlined and padded. For tests
+  /// and diagnostics; the data path never flattens.
+  Bytes Flatten() const {
+    Bytes out;
+    out.reserve(WireSize());
+    std::size_t at = 0;
+    for (const Splice& s : splices_) {
+      out.insert(out.end(), data() + at, data() + s.pos);
+      out.insert(out.end(), s.block.begin(), s.block.end());
+      out.resize(out.size() + Padded(s.block.size()) - s.block.size(), 0);
+      at = s.pos;
+    }
+    out.insert(out.end(), data() + at, data() + len_);
+    return out;
+  }
+
+  /// Appends inline bytes after the window (e.g. a piggybacked suffix).
+  void Append(ByteView bytes) {
+    if (offset_ + len_ != buffer_.size()) {
+      buffer_.erase(buffer_.begin() + static_cast<std::ptrdiff_t>(offset_ + len_),
+                    buffer_.end());
+    }
+    buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+    len_ += bytes.size();
+  }
+
+  /// Drops inline bytes past `len` (e.g. stripping a piggybacked suffix).
+  void Truncate(std::size_t len) {
+    assert(len <= len_);
+    len_ = len;
+  }
+
+ private:
+  void Release() {
+    if (buffer_.capacity() != 0) detail::ArenaRelease(std::move(buffer_));
+    offset_ = 0;
+    len_ = 0;
+    splices_.clear();
+  }
+
+  std::size_t offset_ = 0;
+  std::size_t len_ = 0;
+  Bytes buffer_;
+  SpliceList splices_;
+};
 
 /// A borrowed window over decoded opaque bytes. Valid only while the decoded
 /// message buffer lives; call Copy() to take ownership.
@@ -142,14 +348,31 @@ class Encoder {
 
   /// Fixed-length opaque: data + pad, no length prefix.
   void PutFixedOpaque(const std::uint8_t* data, std::size_t len) {
-    const std::size_t padded = (len + 3) & ~std::size_t{3};
+    const std::size_t padded = Padded(len);
     std::uint8_t* p = Grow(padded);
-    std::memcpy(p, data, len);
+    if (len != 0) std::memcpy(p, data, len);
     std::memset(p + len, 0, padded - len);
   }
 
   void PutString(std::string_view s) {
     PutOpaque(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+  }
+
+  /// Variable-length opaque carried by reference: the length word goes
+  /// inline, the block is spliced in after it without copying its bytes.
+  void PutBlock(const BlockRef& block) {
+    PutU32(static_cast<std::uint32_t>(block.size()));
+    if (!block.empty()) splices_.push_back(Splice{static_cast<std::uint32_t>(pos_), block});
+  }
+
+  /// Embeds an encoded message (inline bytes + splices) as a
+  /// variable-length opaque: the inline bytes are copied (they are small —
+  /// file data rides in splices), the splices re-based and shared.
+  void PutSpliced(ByteView inline_bytes, const SpliceList& splices) {
+    PutU32(static_cast<std::uint32_t>(inline_bytes.size()));
+    const std::size_t base = pos_;
+    PutFixedOpaque(inline_bytes.data(), inline_bytes.size());
+    splices_.AppendShifted(splices, static_cast<std::int64_t>(base));
   }
 
   /// Opens an n-byte raw write window that the caller must fill completely
@@ -172,17 +395,34 @@ class Encoder {
   const Bytes& bytes() { return Trim(); }
 
   /// Transfers the buffer out (it becomes, e.g., a packet payload). The
-  /// eventual owner should hand it back via detail::ArenaRelease.
+  /// eventual owner should hand it back via detail::ArenaRelease. For
+  /// inline-only encodings; a message with blocks leaves through Finish().
   Bytes Take() {
+    assert(splices_.empty() && "spliced message: use Finish()");
     Trim();
     pos_ = 0;
     return std::move(buf_);
   }
 
+  /// Transfers the encoded message out: inline bytes plus splices.
+  Message Finish() {
+    Trim();
+    const std::size_t len = pos_;
+    pos_ = 0;
+    return Message(std::move(buf_), 0, len, std::move(splices_));
+  }
+
+  /// Moves the splices out (positions relative to the buffer start), for a
+  /// caller that keeps them beside the buffer it then Take()s.
+  SpliceList TakeSplices() { return std::move(splices_); }
+
   std::size_t size() const { return pos_; }
 
   /// Drops accumulated bytes but keeps the capacity, for encoder reuse.
-  void Reset() { pos_ = 0; }
+  void Reset() {
+    pos_ = 0;
+    splices_.clear();
+  }
 
  private:
   static constexpr std::size_t kInitialCapacity = 256;
@@ -220,6 +460,7 @@ class Encoder {
 
   Bytes buf_;
   std::size_t pos_ = 0;
+  SpliceList splices_;
 };
 
 enum class DecodeError { kTruncated, kBadValue };
@@ -232,6 +473,12 @@ class Decoder {
   explicit Decoder(const Bytes& buf) : data_(buf.data()), size_(buf.size()) {}
   explicit Decoder(ByteView buf) : data_(buf.data()), size_(buf.size()) {}
   Decoder(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
+  /// Decodes a message's inline bytes; GetBlock returns its splices.
+  explicit Decoder(const Message& msg)
+      : data_(msg.data()),
+        size_(msg.size()),
+        splice_(msg.splices().begin()),
+        splice_end_(msg.splices().end()) {}
 
   Expected<std::uint32_t, DecodeError> GetU32() {
     if (size_ - pos_ < 4) return Unexpected(DecodeError::kTruncated);
@@ -283,13 +530,30 @@ class Decoder {
   }
 
   Expected<View, DecodeError> GetFixedOpaque(std::size_t len) {
-    const std::size_t padded = (len + 3) & ~std::size_t{3};
+    // A spliced block here means the field was encoded by PutBlock; its
+    // bytes are not inline, so reading them as inline would misparse.
+    if (len != 0 && SpliceHere()) return Unexpected(DecodeError::kBadValue);
+    const std::size_t padded = Padded(len);
     if (size_ - pos_ < padded || padded < len) {
       return Unexpected(DecodeError::kTruncated);
     }
     View out{data_ + pos_, len};
     pos_ += padded;
     return out;
+  }
+
+  /// Variable-length opaque as a block: the spliced ref itself when the
+  /// encoder spliced one here (no copy), else a copy of the inline bytes.
+  Expected<BlockRef, DecodeError> GetBlock() {
+    auto len = GetU32();
+    if (!len) return Unexpected(len.error());
+    if (SpliceHere()) {
+      if (splice_->block.size() != *len) return Unexpected(DecodeError::kBadValue);
+      return (splice_++)->block;
+    }
+    auto raw = GetFixedOpaque(*len);
+    if (!raw) return Unexpected(raw.error());
+    return BlockRef::Copy(raw->span());
   }
 
   Expected<StrView, DecodeError> GetString() {
@@ -335,9 +599,13 @@ class Decoder {
   bool AtEnd() const { return pos_ == size_; }
 
  private:
+  bool SpliceHere() const { return splice_ != splice_end_ && splice_->pos == pos_; }
+
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
+  const Splice* splice_ = nullptr;
+  const Splice* splice_end_ = nullptr;
 };
 
 }  // namespace gvfs::xdr

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/block.h"
 #include "common/expected.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -210,6 +211,85 @@ TEST(FlatMapTest, ChurnMatchesReferenceMap) {
     EXPECT_EQ(v, it->second);
   });
   EXPECT_EQ(visited, ref.size());
+}
+
+// --- BlockRef ----------------------------------------------------------------
+
+TEST(BlockRefTest, CopiesShareOneBlock) {
+  const BlockRef a = BlockRef::Copy(Bytes{1, 2, 3});
+  EXPECT_FALSE(a.shared());
+  {
+    const BlockRef b = a;  // NOLINT(performance-unnecessary-copy-initialization)
+    EXPECT_TRUE(a.shared());
+    EXPECT_EQ(b.data(), a.data());
+  }
+  EXPECT_FALSE(a.shared());  // the copy released its count
+  BlockRef moved = BlockRef::Copy(Bytes{9});
+  BlockRef target = std::move(moved);
+  EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move): moved-from state is specified
+  EXPECT_EQ(target, (Bytes{9}));
+}
+
+TEST(BlockRefTest, SliceSharesAndBoundsItsRange) {
+  const BlockRef whole = BlockRef::Copy(Bytes{0, 1, 2, 3, 4, 5});
+  const BlockRef mid = whole.Slice(2, 3);
+  EXPECT_EQ(mid, (Bytes{2, 3, 4}));
+  EXPECT_EQ(mid.data(), whole.data() + 2);
+  EXPECT_TRUE(whole.shared());
+  EXPECT_TRUE(whole.Slice(1, 0).empty());
+}
+
+TEST(BlockRefTest, MutableCopiesOnWriteWhenShared) {
+  BlockRef writer = BlockRef::Copy(Bytes{1, 1, 1, 1});
+  const BlockRef reader = writer;
+  std::uint8_t* p = writer.Mutable(6, 8);  // grow while shared: clone
+  p[0] = 7;
+  p[5] = 8;
+  EXPECT_EQ(writer, (Bytes{7, 1, 1, 1, 0, 8}));
+  EXPECT_EQ(reader, (Bytes{1, 1, 1, 1}));  // untouched
+  EXPECT_FALSE(reader.shared());
+}
+
+TEST(BlockRefTest, MutableWritesInPlaceWhenSoleOwner) {
+  BlockRef only = BlockRef::Copy(Bytes{1, 2, 3, 4});
+  const std::uint8_t* before = only.data();
+  only.Mutable(2, 8)[1] = 9;  // shrink in place
+  EXPECT_EQ(only, (Bytes{1, 9}));
+  EXPECT_EQ(only.data(), before);
+  // Regrowing inside the block's capacity zero-fills the re-exposed bytes.
+  EXPECT_EQ(only.data(), only.Mutable(4, 8));
+  EXPECT_EQ(only, (Bytes{1, 9, 0, 0}));
+  // Past the capacity it must reallocate, keeping the bytes.
+  only.Mutable(5, 8);
+  EXPECT_EQ(only, (Bytes{1, 9, 0, 0, 0}));
+}
+
+TEST(BlockRefTest, SoleOwnerGrowthDoublesUpToLimit) {
+  BlockRef only = BlockRef::Copy(Bytes{1});
+  // Byte-at-a-time appends reallocate only when the capacity doubles:
+  // 1 -> 2 -> 4 -> 8 bytes, then never past the 8-byte limit.
+  std::vector<const std::uint8_t*> blocks{only.data()};
+  for (std::size_t size = 2; size <= 8; ++size) {
+    only.Mutable(size, 8)[size - 1] = static_cast<std::uint8_t>(size);
+    if (only.data() != blocks.back()) blocks.push_back(only.data());
+  }
+  EXPECT_EQ(blocks.size(), 4u);
+  EXPECT_EQ(only, (Bytes{1, 2, 3, 4, 5, 6, 7, 8}));
+  // Growing past the limit takes exactly what is asked.
+  only.Mutable(9, 8);
+  EXPECT_EQ(only, (Bytes{1, 2, 3, 4, 5, 6, 7, 8, 0}));
+  // A shared block still clones at its exact size, leaving the reader be.
+  const BlockRef reader = only;
+  only.Mutable(10, 64)[9] = 10;
+  EXPECT_EQ(reader.size(), 9u);
+  EXPECT_EQ(only[9], 10);
+}
+
+TEST(BlockRefTest, EmptyOwnsNothing) {
+  const BlockRef empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(BlockRef::Copy(Bytes{}).empty());
 }
 
 }  // namespace

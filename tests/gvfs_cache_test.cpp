@@ -83,8 +83,8 @@ TEST(DiskCacheTest, NegativeLookupEntries) {
 TEST(DiskCacheTest, BlockStoreAndDirtyTracking) {
   DiskCache cache(kBs);
   Fh fh{1, 3};
-  cache.StoreBlock(fh, 0, Bytes(100, 1), /*dirty=*/false);
-  cache.WriteIntoBlock(fh, 1, 0, Bytes(50, 2));
+  cache.StoreBlock(fh, 0, BlockRef::Copy(Bytes(100, 1)), /*dirty=*/false);
+  cache.WriteIntoBlock(fh, 1, 0, BlockRef::Copy(Bytes(50, 2)));
   EXPECT_EQ(cache.DirtyBlockCount(fh), 1u);
   auto offsets = cache.DirtyOffsets(fh);
   ASSERT_EQ(offsets.size(), 1u);
@@ -97,8 +97,8 @@ TEST(DiskCacheTest, BlockStoreAndDirtyTracking) {
 TEST(DiskCacheTest, WriteIntoBlockMergesData) {
   DiskCache cache(kBs);
   Fh fh{1, 3};
-  cache.StoreBlock(fh, 0, Bytes(100, 1), false);
-  cache.WriteIntoBlock(fh, 0, 10, Bytes(5, 9));
+  cache.StoreBlock(fh, 0, BlockRef::Copy(Bytes(100, 1)), false);
+  cache.WriteIntoBlock(fh, 0, 10, BlockRef::Copy(Bytes(5, 9)));
   const DiskCache::Block* block = cache.FindBlock(fh, 0);
   ASSERT_NE(block, nullptr);
   EXPECT_EQ(block->data[9], 1);
@@ -108,13 +108,34 @@ TEST(DiskCacheTest, WriteIntoBlockMergesData) {
   EXPECT_TRUE(block->dirty);
 }
 
+TEST(DiskCacheTest, WriteIntoBlockCopiesOnWrite) {
+  DiskCache cache(kBs);
+  Fh fh{1, 3};
+  const BlockRef stored = BlockRef::Copy(Bytes(100, 1));
+  cache.StoreBlock(fh, 0, stored, false);
+  EXPECT_EQ(cache.FindBlock(fh, 0)->data.data(), stored.data());  // shared
+
+  // A partial write clones: whoever else holds the block keeps its bytes.
+  cache.WriteIntoBlock(fh, 0, 10, BlockRef::Copy(Bytes(5, 9)));
+  EXPECT_EQ(stored, Bytes(100, 1));
+  const DiskCache::Block* block = cache.FindBlock(fh, 0);
+  EXPECT_NE(block->data.data(), stored.data());
+  EXPECT_EQ(block->data[10], 9);
+
+  // A write covering the whole block adopts the writer's block instead.
+  const BlockRef whole = BlockRef::Copy(Bytes(120, 3));
+  cache.WriteIntoBlock(fh, 0, 0, whole);
+  EXPECT_EQ(cache.FindBlock(fh, 0)->data.data(), whole.data());
+  EXPECT_EQ(cache.CachedBytes(), 120u);
+}
+
 TEST(DiskCacheTest, ObserveMtimeDropsCleanKeepsDirty) {
   DiskCache cache(kBs);
   Fh fh{1, 3};
   auto& fe = cache.FileFor(fh);
   fe.mtime_seen = Seconds(1);
-  cache.StoreBlock(fh, 0, Bytes(10, 1), /*dirty=*/false);
-  cache.WriteIntoBlock(fh, 1, 0, Bytes(10, 2));  // dirty
+  cache.StoreBlock(fh, 0, BlockRef::Copy(Bytes(10, 1)), /*dirty=*/false);
+  cache.WriteIntoBlock(fh, 1, 0, BlockRef::Copy(Bytes(10, 2)));  // dirty
 
   cache.ObserveMtime(fh, Seconds(2), 100, /*own_write=*/false);
   EXPECT_EQ(cache.FindBlock(fh, 0), nullptr);  // clean dropped
@@ -127,16 +148,16 @@ TEST(DiskCacheTest, ObserveOwnWriteKeepsData) {
   Fh fh{1, 3};
   auto& fe = cache.FileFor(fh);
   fe.mtime_seen = Seconds(1);
-  cache.StoreBlock(fh, 0, Bytes(10, 1), false);
+  cache.StoreBlock(fh, 0, BlockRef::Copy(Bytes(10, 1)), false);
   cache.ObserveMtime(fh, Seconds(2), 100, /*own_write=*/true);
   EXPECT_NE(cache.FindBlock(fh, 0), nullptr);
 }
 
 TEST(DiskCacheTest, FilesWithDirtyData) {
   DiskCache cache(kBs);
-  cache.StoreBlock(Fh{1, 1}, 0, Bytes(10, 1), false);
-  cache.WriteIntoBlock(Fh{1, 2}, 0, 0, Bytes(10, 2));
-  cache.WriteIntoBlock(Fh{1, 3}, 0, 0, Bytes(10, 3));
+  cache.StoreBlock(Fh{1, 1}, 0, BlockRef::Copy(Bytes(10, 1)), false);
+  cache.WriteIntoBlock(Fh{1, 2}, 0, 0, BlockRef::Copy(Bytes(10, 2)));
+  cache.WriteIntoBlock(Fh{1, 3}, 0, 0, BlockRef::Copy(Bytes(10, 3)));
   auto dirty = cache.FilesWithDirtyData();
   EXPECT_EQ(dirty.size(), 2u);
 }
@@ -145,7 +166,7 @@ TEST(DiskCacheTest, CrashPreservesDataInvalidatesMetadata) {
   DiskCache cache(kBs);
   Fh fh{1, 4};
   cache.StoreAttr(fh, MakeAttr(4, 10, 0), 0);
-  cache.WriteIntoBlock(fh, 0, 0, Bytes(10, 7));
+  cache.WriteIntoBlock(fh, 0, 0, BlockRef::Copy(Bytes(10, 7)));
   cache.Crash();
   EXPECT_EQ(cache.ValidAttr(fh), nullptr);
   ASSERT_NE(cache.FindBlock(fh, 0), nullptr);
@@ -155,9 +176,9 @@ TEST(DiskCacheTest, CrashPreservesDataInvalidatesMetadata) {
 TEST(DiskCacheTest, CachedBytesAccounting) {
   DiskCache cache(kBs);
   Fh fh{1, 4};
-  cache.StoreBlock(fh, 0, Bytes(100, 1), false);
+  cache.StoreBlock(fh, 0, BlockRef::Copy(Bytes(100, 1)), false);
   EXPECT_EQ(cache.CachedBytes(), 100u);
-  cache.StoreBlock(fh, 0, Bytes(200, 1), false);  // replace
+  cache.StoreBlock(fh, 0, BlockRef::Copy(Bytes(200, 1)), false);  // replace
   EXPECT_EQ(cache.CachedBytes(), 200u);
   cache.DropFileData(fh);
   EXPECT_EQ(cache.CachedBytes(), 0u);
@@ -207,7 +228,7 @@ TEST(GvfsProtoTest, RecoveryRoundTrip) {
 }
 
 TEST(GvfsProtoTest, GrantSuffixAppendExtract) {
-  Bytes body = {1, 2, 3, 4};
+  xdr::Message body(Bytes{1, 2, 3, 4});
   GrantSuffix suffix;
   suffix.delegation = DelegationType::kWrite;
   suffix.AppendTo(body);
@@ -215,21 +236,44 @@ TEST(GvfsProtoTest, GrantSuffixAppendExtract) {
 
   GrantSuffix extracted = GrantSuffix::ExtractFrom(body);
   EXPECT_EQ(extracted.delegation, DelegationType::kWrite);
-  EXPECT_EQ(body, (Bytes{1, 2, 3, 4}));  // suffix stripped
+  EXPECT_EQ(body.Flatten(), (Bytes{1, 2, 3, 4}));  // suffix stripped
 }
 
 TEST(GvfsProtoTest, GrantSuffixAbsent) {
-  Bytes body = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  xdr::Message body(Bytes{1, 2, 3, 4, 5, 6, 7, 8, 9});
   GrantSuffix extracted = GrantSuffix::ExtractFrom(body);
   EXPECT_EQ(extracted.delegation, DelegationType::kNone);
   EXPECT_EQ(body.size(), 9u);  // untouched
 }
 
 TEST(GvfsProtoTest, GrantSuffixShortBody) {
-  Bytes body = {1};
+  xdr::Message body(Bytes{1});
   GrantSuffix extracted = GrantSuffix::ExtractFrom(body);
   EXPECT_EQ(extracted.delegation, DelegationType::kNone);
   EXPECT_EQ(body.size(), 1u);
+}
+
+TEST(GvfsProtoTest, GrantSuffixRidesAfterSplicedReadData) {
+  // A delegation READ reply: the suffix is appended inline after the data
+  // block's splice, and must come back off without touching the data.
+  nfs3::ReadRes res;
+  res.count = 5;
+  res.data = BlockRef::Copy(Bytes{1, 2, 3, 4, 5});
+  xdr::Message body = nfs3::Serialize(res);
+  const Bytes flat_before = body.Flatten();
+  GrantSuffix suffix;
+  suffix.delegation = DelegationType::kRead;
+  suffix.AppendTo(body);
+  EXPECT_EQ(body.WireSize(), flat_before.size() + GrantSuffix::kWireBytes);
+
+  EXPECT_EQ(GrantSuffix::ExtractFrom(body).delegation, DelegationType::kRead);
+  EXPECT_EQ(body.Flatten(), flat_before);
+  auto parsed = nfs3::Parse<nfs3::ReadRes>(body);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->data, (Bytes{1, 2, 3, 4, 5}));
+  // No suffix was appended: the trailing inline bytes precede the splice on
+  // the wire, so they are never mistaken for one.
+  EXPECT_EQ(GrantSuffix::ExtractFrom(body).delegation, DelegationType::kNone);
 }
 
 }  // namespace

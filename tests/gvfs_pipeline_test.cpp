@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/concurrency.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
@@ -354,6 +355,60 @@ TEST_F(PipelineTest, ShutdownDrainsWindowedFlush) {
     ASSERT_FALSE(data->data.empty());
     EXPECT_EQ(data->data[0], i + 1) << "block " << i;
   }
+}
+
+// Regression: FlushAll used to open one full WRITE window per file, so 30
+// dirty files put 240 WRITEs on the 4 Mbps link at once. Fixed-timeout
+// retransmissions then swamped the link, the last WRITEs of several files
+// never got a reply, and Shutdown left those files short on the server.
+// One proxy-wide window bounds every pipelined WRITE.
+struct ManyFilesFlush {
+  std::vector<std::uint64_t> sizes;
+  std::vector<std::uint64_t> server_sizes;
+  Duration shutdown_time = 0;
+};
+
+ManyFilesFlush FlushManyFiles(std::uint32_t wb_window) {
+  Testbed bed;
+  bed.AddWanClient();
+  SessionConfig config = PipelineConfig();
+  config.wb_window = wb_window;
+  auto& session = bed.CreateSession(config, {0}, NoacKernel());
+  ManyFilesFlush out;
+  Rng rng(7);
+  for (int f = 0; f < 30; ++f) {
+    const std::string path = "/f" + std::to_string(f);
+    const auto size = static_cast<std::uint64_t>(rng.Range(32 * 1024, 640 * 1024));
+    out.sizes.push_back(size);
+    auto fd = RunTask(bed.sched(), session.mount(0).Open(path, kCreateWrite));
+    EXPECT_TRUE(fd.has_value());
+    for (std::uint64_t off = 0; off < size; off += kBlock) {
+      const std::uint64_t len = std::min<std::uint64_t>(kBlock, size - off);
+      (void)RunTask(bed.sched(),
+                    session.mount(0).Write(*fd, off, Bytes(len, static_cast<std::uint8_t>(f))));
+    }
+    (void)RunTask(bed.sched(), session.mount(0).Close(*fd));
+  }
+  const SimTime start = bed.sched().Now();
+  RunTask(bed.sched(), session.Shutdown());
+  out.shutdown_time = bed.sched().Now() - start;
+  for (int f = 0; f < 30; ++f) {
+    auto ino = bed.fs().ResolvePath("/f" + std::to_string(f));
+    auto attr = ino ? bed.fs().GetAttr(*ino) : memfs::FsResult<memfs::InodeAttr>(
+                                                   Unexpected(memfs::FsError::kNoEnt));
+    out.server_sizes.push_back(attr ? attr->size : 0);
+  }
+  return out;
+}
+
+TEST(PipelineFlushTest, ConcurrentFileFlushesShareOneWindow) {
+  const ManyFilesFlush windowed = FlushManyFiles(8);
+  const ManyFilesFlush serial = FlushManyFiles(1);
+  EXPECT_EQ(windowed.server_sizes, windowed.sizes);
+  EXPECT_EQ(serial.server_sizes, serial.sizes);
+  EXPECT_LE(windowed.shutdown_time, serial.shutdown_time);
+  RecordProperty("windowed_flush_ms", static_cast<int>(windowed.shutdown_time / kMillisecond));
+  RecordProperty("serial_flush_ms", static_cast<int>(serial.shutdown_time / kMillisecond));
 }
 
 }  // namespace

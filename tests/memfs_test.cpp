@@ -304,6 +304,62 @@ TEST_F(MemFsTest, InodeCountTracksLiveInodes) {
   EXPECT_EQ(fs_.InodeCount(), base);
 }
 
+// --- Block storage -----------------------------------------------------------
+
+TEST_F(MemFsTest, WholeBlockWriteAdoptsAndReadSharesTheBlock) {
+  InodeId f = MustCreate(fs_.root(), "f");
+  const BlockRef block = BlockRef::Copy(Bytes(MemFs::kBlockSize, 0x61));
+  ASSERT_TRUE(fs_.WriteBlock(f, 0, block).has_value());
+  EXPECT_TRUE(block.shared());  // memfs keeps the writer's block, no copy
+
+  auto whole = fs_.ReadBlock(f, 0, MemFs::kBlockSize);
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_EQ(whole->data.data(), block.data());
+  EXPECT_TRUE(whole->eof);
+  auto part = fs_.ReadBlock(f, 100, 50);
+  ASSERT_TRUE(part.has_value());
+  EXPECT_EQ(part->data.data(), block.data() + 100);
+  EXPECT_FALSE(part->eof);
+}
+
+TEST_F(MemFsTest, PartialWriteCopiesOnWrite) {
+  InodeId f = MustCreate(fs_.root(), "f");
+  const BlockRef block = BlockRef::Copy(Bytes(MemFs::kBlockSize, 0x61));
+  ASSERT_TRUE(fs_.WriteBlock(f, 0, block).has_value());
+  ASSERT_TRUE(fs_.Write(f, 10, Bytes(4, 0x7a)).has_value());
+
+  EXPECT_EQ(block, Bytes(MemFs::kBlockSize, 0x61));  // the writer's bytes stay
+  auto read = fs_.Read(f, 8, 8);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->data, (Bytes{0x61, 0x61, 0x7a, 0x7a, 0x7a, 0x7a, 0x61, 0x61}));
+}
+
+TEST_F(MemFsTest, HolesAndRegrownTailsReadAsZeros) {
+  InodeId f = MustCreate(fs_.root(), "f");
+  // A write two blocks past the start leaves a hole before it.
+  const std::uint64_t at = 2 * MemFs::kBlockSize + 5;
+  ASSERT_TRUE(fs_.Write(f, at, Bytes{1, 2}).has_value());
+  auto gap = fs_.ReadBlock(f, MemFs::kBlockSize - 2, 4);
+  ASSERT_TRUE(gap.has_value());
+  EXPECT_EQ(gap->data, (Bytes{0, 0, 0, 0}));
+  auto spanning = fs_.Read(f, at - 2, 4);
+  ASSERT_TRUE(spanning.has_value());
+  EXPECT_EQ(spanning->data, (Bytes{0, 0, 1, 2}));
+
+  // Truncate into the data, then extend: the cut bytes come back as zeros.
+  ASSERT_TRUE(fs_.Write(f, 0, Bytes(100, 9)).has_value());
+  SetAttrRequest shrink;
+  shrink.size = 50;
+  ASSERT_TRUE(fs_.SetAttr(f, shrink).has_value());
+  SetAttrRequest grow;
+  grow.size = 100;
+  ASSERT_TRUE(fs_.SetAttr(f, grow).has_value());
+  auto tail = fs_.Read(f, 48, 4);
+  ASSERT_TRUE(tail.has_value());
+  EXPECT_EQ(tail->data, (Bytes{9, 9, 0, 0}));
+  EXPECT_EQ(fs_.TotalBytes(), 100u);
+}
+
 // Property sweep: a write at any offset/length yields size = max(old_end,
 // offset+len) and the data reads back.
 class WriteSweep : public ::testing::TestWithParam<std::pair<int, int>> {};

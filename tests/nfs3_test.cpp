@@ -84,7 +84,7 @@ TEST(Nfs3ProtoTest, WriteArgsCarryData) {
   args.file = Fh{1, 5};
   args.offset = 32768;
   args.stable = StableHow::kUnstable;
-  args.data = Bytes(1000, 0xcd);
+  args.data = BlockRef::Copy(Bytes(1000, 0xcd));
   auto back = RoundTrip(args);
   EXPECT_EQ(back.offset, 32768u);
   EXPECT_EQ(back.stable, StableHow::kUnstable);
@@ -115,7 +115,7 @@ TEST(Nfs3ProtoTest, SetAttrArgsOptionalFields) {
 TEST(Nfs3ProtoTest, ParseRejectsTruncated) {
   GetAttrRes res;
   res.attr.size = 1;
-  Bytes wire = Serialize(res);
+  Bytes wire = Serialize(res).Flatten();
   wire.resize(wire.size() / 2);
   EXPECT_FALSE(Parse<GetAttrRes>(wire).has_value());
 }
@@ -200,7 +200,7 @@ TEST_F(Nfs3ServerTest, CreateLookupReadWrite) {
   WriteArgs wargs;
   wargs.file = create.object;
   wargs.offset = 0;
-  wargs.data = Bytes(64, 0xee);
+  wargs.data = BlockRef::Copy(Bytes(64, 0xee));
   auto write = Run<WriteRes>(kWrite, wargs);
   ASSERT_EQ(write.status, Status::kOk);
   EXPECT_EQ(write.count, 64u);
@@ -270,7 +270,7 @@ TEST_F(Nfs3ServerTest, SetAttrTruncate) {
   auto create = Run<CreateRes>(kCreate, CreateArgs{server_.RootFh(), "f", 0644, false});
   WriteArgs wargs;
   wargs.file = create.object;
-  wargs.data = Bytes(100, 1);
+  wargs.data = BlockRef::Copy(Bytes(100, 1));
   Run<WriteRes>(kWrite, wargs);
   SetAttrArgs sargs;
   sargs.object = create.object;
@@ -285,7 +285,7 @@ TEST_F(Nfs3ServerTest, FsStatReportsUsage) {
   auto create = Run<CreateRes>(kCreate, CreateArgs{server_.RootFh(), "f", 0644, false});
   WriteArgs wargs;
   wargs.file = create.object;
-  wargs.data = Bytes(500, 1);
+  wargs.data = BlockRef::Copy(Bytes(500, 1));
   Run<WriteRes>(kWrite, wargs);
   auto res = Run<FsStatRes>(kFsStat, FsStatArgs{server_.RootFh()});
   ASSERT_EQ(res.status, Status::kOk);
@@ -322,7 +322,7 @@ TEST_F(Nfs3ServerTest, LargeReadPaysBandwidthCost) {
   auto create = Run<CreateRes>(kCreate, CreateArgs{server_.RootFh(), "f", 0644, false});
   WriteArgs wargs;
   wargs.file = create.object;
-  wargs.data = Bytes(256 * 1024, 2);
+  wargs.data = BlockRef::Copy(Bytes(256 * 1024, 2));
   Run<WriteRes>(kWrite, wargs);
 
   const SimTime start = sched_.Now();
@@ -331,6 +331,62 @@ TEST_F(Nfs3ServerTest, LargeReadPaysBandwidthCost) {
   // 256 KB at 4 Mbps is ~0.5 s of transmission alone.
   EXPECT_GE(sched_.Now() - start, Milliseconds(500));
 }
+
+// Wire-size parity: READ and WRITE data rides as spliced blocks, yet every
+// packet must cost exactly what the old inline (PutOpaque) encoding cost.
+
+/// WriteArgs as encoded before the block plane: the data copied inline.
+std::size_t InlineWriteArgsSize(const WriteArgs& args) {
+  xdr::Encoder enc;
+  args.file.Encode(enc);
+  enc.PutU64(args.offset);
+  enc.PutU32(static_cast<std::uint32_t>(args.stable));
+  enc.PutOpaque(args.data.view());
+  return enc.size();
+}
+
+/// ReadRes as encoded before the block plane.
+std::size_t InlineReadResSize(const ReadRes& res) {
+  xdr::Encoder enc;
+  enc.PutU32(static_cast<std::uint32_t>(res.status));
+  EncodePostOp(enc, res.attr);
+  enc.PutU32(res.count);
+  enc.PutBool(res.eof);
+  enc.PutOpaque(res.data.view());
+  return enc.size();
+}
+
+class WireSizeParity : public Nfs3ServerTest,
+                       public ::testing::WithParamInterface<std::size_t> {};
+
+TEST_P(WireSizeParity, ReadAndWritePacketsCostTheInlineEncoding) {
+  // RPC framing around a body: call header 40 + reply header 12, the body's
+  // length word 4, and 100 bytes of UDP/IP + auth overhead per datagram.
+  constexpr std::size_t kCallFraming = 40 + 4 + 100;
+  constexpr std::size_t kReplyFraming = 12 + 4 + 100;
+  const std::size_t len = GetParam();
+  auto create = Run<CreateRes>(kCreate, CreateArgs{server_.RootFh(), "f", 0644, false});
+  ASSERT_EQ(create.status, Status::kOk);
+
+  WriteArgs wargs;
+  wargs.file = create.object;
+  wargs.data = BlockRef::Copy(Bytes(len, 0x3c));
+  const std::uint64_t up_before = network_.StatsFor(client_host_, server_host_).bytes;
+  ASSERT_EQ(Run<WriteRes>(kWrite, wargs).status, Status::kOk);
+  EXPECT_EQ(network_.StatsFor(client_host_, server_host_).bytes - up_before,
+            kCallFraming + InlineWriteArgsSize(wargs));
+
+  const std::uint64_t down_before = network_.StatsFor(server_host_, client_host_).bytes;
+  auto read = Run<ReadRes>(kRead, ReadArgs{create.object, 0, 32768});
+  ASSERT_EQ(read.status, Status::kOk);
+  EXPECT_EQ(read.data, Bytes(len, 0x3c));
+  EXPECT_EQ(network_.StatsFor(server_host_, client_host_).bytes - down_before,
+            kReplyFraming + InlineReadResSize(read));
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, WireSizeParity,
+                         ::testing::Values(std::size_t{0}, std::size_t{1},
+                                           std::size_t{4095}, std::size_t{32768}));
 
 }  // namespace
 }  // namespace gvfs::nfs3

@@ -17,7 +17,7 @@ constexpr std::uint32_t kProcEcho = 1;
 constexpr std::uint32_t kProcSlow = 2;
 constexpr std::uint32_t kProcCount = 3;
 
-sim::Task<Bytes> EchoHandler(CallContext, Body args) { co_return args.ToBytes(); }
+sim::Task<Body> EchoHandler(CallContext, Body args) { co_return std::move(args); }
 
 class RpcTest : public ::testing::Test {
  protected:
@@ -62,7 +62,7 @@ sim::Task<void> DoCall(RpcNode* node, net::Address dst, std::uint32_t proc,
   out->done = true;
   out->ok = r.has_value();
   if (r.has_value()) {
-    out->body = r->ToBytes();
+    out->body = r->Flatten();
   } else {
     out->error = r.error();
   }
@@ -84,7 +84,7 @@ TEST_F(RpcTest, EchoRoundTrip) {
 
 TEST_F(RpcTest, HandlerCanSleepInVirtualTime) {
   server_->RegisterHandler(kProg, kProcSlow,
-                           [this](CallContext, Body) -> sim::Task<Bytes> {
+                           [this](CallContext, Body) -> sim::Task<Body> {
                              co_await sim::Sleep(sched_, Seconds(3));
                              co_return Bytes{1};
                            });
@@ -145,7 +145,7 @@ TEST_F(RpcTest, RetransmitSucceedsAfterPartitionHeals) {
 TEST_F(RpcTest, DuplicateRequestCachePreventsReExecution) {
   int executions = 0;
   server_->RegisterHandler(kProg, kProcCount,
-                           [this, &executions](CallContext, Body) -> sim::Task<Bytes> {
+                           [this, &executions](CallContext, Body) -> sim::Task<Body> {
                              ++executions;
                              // Slower than the client's retransmit timer, so a
                              // retransmission always arrives mid-execution.
@@ -167,7 +167,7 @@ TEST_F(RpcTest, DuplicateRequestCachePreventsReExecution) {
 TEST_F(RpcTest, DuplicateAfterCompletionResendsCachedReply) {
   int executions = 0;
   server_->RegisterHandler(kProg, kProcCount,
-                           [&executions](CallContext, Body) -> sim::Task<Bytes> {
+                           [&executions](CallContext, Body) -> sim::Task<Body> {
                              ++executions;
                              co_return Bytes{static_cast<std::uint8_t>(executions)};
                            });
@@ -186,6 +186,79 @@ TEST_F(RpcTest, DuplicateAfterCompletionResendsCachedReply) {
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(executions, 1);  // second request served from the DRC
   EXPECT_EQ(result.body, (Bytes{1}));
+}
+
+TEST_F(RpcTest, DrcRetainsOnlyEachRepliesOwnBytes) {
+  // Large replies first, so the encode arena holds big recycled buffers;
+  // then enough small replies to fill the DRC. Every small reply is
+  // encoded into one of those recycled buffers, but the DRC must keep only
+  // its few inline bytes.
+  constexpr std::uint32_t kProcBig = 4;
+  constexpr std::uint32_t kProcSmall = 5;
+  server_->RegisterHandler(kProg, kProcBig, [](CallContext, Body) -> sim::Task<Body> {
+    xdr::Encoder enc;
+    enc.PutOpaque(Bytes(64 * 1024, 0xbb));
+    co_return enc.Finish();
+  });
+  server_->RegisterHandler(kProg, kProcSmall, [](CallContext, Body) -> sim::Task<Body> {
+    xdr::Encoder enc;
+    enc.PutU32(7);
+    co_return enc.Finish();
+  });
+  for (int i = 0; i < 8; ++i) {
+    CallResult big;
+    sim::Spawn(DoCall(client_, ServerAddr(), kProcBig, {}, Opts("BIG"), &sched_, &big));
+    sched_.Run();
+    ASSERT_TRUE(big.ok);
+  }
+  constexpr std::size_t kSmallCalls = 2100;  // past the DRC's 2048 entries
+  for (std::size_t i = 0; i < kSmallCalls; ++i) {
+    CallResult small;
+    sim::Spawn(DoCall(client_, ServerAddr(), kProcSmall, {}, Opts("SMALL"), &sched_, &small));
+    sched_.Run();
+    ASSERT_TRUE(small.ok);
+  }
+  EXPECT_EQ(server_->DrcRetainedBytes(), 2048u * 4u);
+}
+
+TEST_F(RpcTest, DrcResendsSplicedReplyByteForByte) {
+  // A READ-shaped reply whose data rides as a spliced block. The first reply
+  // is lost; the retransmitted request is answered from the DRC, which must
+  // resend the same bytes (sharing the block, not a copy of it).
+  const BlockRef data = BlockRef::Copy(Bytes(4095, 0x42));
+  int executions = 0;
+  server_->RegisterHandler(kProg, kProcCount,
+                           [&executions, &data](CallContext, Body) -> sim::Task<Body> {
+                             ++executions;
+                             xdr::Encoder enc;
+                             enc.PutU32(0);
+                             enc.PutBlock(data);
+                             co_return enc.Finish();
+                           });
+  network_.SetOneWayUp(server_host_, client_host_, false);
+  sched_.At(Milliseconds(100),
+            [&] { network_.SetOneWayUp(server_host_, client_host_, true); });
+
+  Bytes expected;
+  {
+    xdr::Encoder flat;
+    flat.PutU32(0);
+    flat.PutOpaque(data.view());
+    expected = flat.Take();
+  }
+  CallResult result;
+  CallOptions opts = Opts("COUNT");
+  opts.timeout = Milliseconds(300);
+  sim::Spawn(
+      DoCall(client_, ServerAddr(), kProcCount, {}, std::move(opts), &sched_, &result));
+  sched_.Run();
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(executions, 1);  // the retransmission was a DRC hit
+  EXPECT_EQ(result.body, expected);
+  // Both the lost reply and the resent one were charged the flat size.
+  const net::LinkStats down = network_.StatsFor(server_host_, client_host_);
+  EXPECT_EQ(down.dropped, 1u);
+  EXPECT_EQ(down.bytes, 12u + 4u + expected.size() + 100u);
 }
 
 TEST_F(RpcTest, DownServerDropsRequests) {
@@ -265,10 +338,10 @@ TEST_F(RpcTest, ServerToClientCallbackWorks) {
 
 TEST_F(RpcTest, ConcurrentCallsMatchRepliesByXid) {
   server_->RegisterHandler(kProg, kProcSlow,
-                           [this](CallContext, Body args) -> sim::Task<Bytes> {
+                           [this](CallContext, Body args) -> sim::Task<Body> {
                              // Delay inversely proportional to payload value so
                              // replies return out of order.
-                             Bytes data = args.ToBytes();
+                             Bytes data = args.Flatten();
                              co_await sim::Sleep(sched_, Seconds(10 - data.at(0)));
                              co_return data;
                            });

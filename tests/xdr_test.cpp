@@ -323,5 +323,146 @@ TEST(XdrFixedWindow, ReserveInterleavesWithPuts) {
   EXPECT_TRUE(dec.AtEnd());
 }
 
+// --- Spliced blocks ----------------------------------------------------------
+// PutBlock keeps the block's bytes out of the buffer; the message must still
+// cost exactly what the flat encoding costs, and decode back the same ref.
+
+/// The flat (copying) encoding of the same fields, for parity checks.
+Bytes FlatEncoding(std::uint32_t head, const Bytes& payload, std::uint32_t tail) {
+  Encoder enc;
+  enc.PutU32(head);
+  enc.PutOpaque(payload);
+  enc.PutU32(tail);
+  return enc.Take();
+}
+
+class XdrBlockSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(XdrBlockSweep, SplicedMessageMatchesFlatEncoding) {
+  const Bytes payload(static_cast<std::size_t>(GetParam()), 0x5c);
+  const BlockRef block = BlockRef::Copy(payload);
+  Encoder enc;
+  enc.PutU32(7);
+  enc.PutBlock(block);
+  enc.PutU32(9);
+  const Message msg = enc.Finish();
+
+  const Bytes flat = FlatEncoding(7, payload, 9);
+  EXPECT_EQ(msg.WireSize(), flat.size());
+  EXPECT_EQ(msg.Flatten(), flat);
+  // Only the length word is inline; a non-empty block rides as one splice.
+  EXPECT_EQ(msg.size(), 12u);
+  EXPECT_EQ(msg.splices().size(), payload.empty() ? 0u : 1u);
+
+  Decoder dec(msg);
+  EXPECT_EQ(dec.GetU32().value_or(0), 7u);
+  auto got = dec.GetBlock();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, payload);
+  if (!payload.empty()) {
+    EXPECT_EQ(got->data(), block.data());  // shared, not copied
+  }
+  EXPECT_EQ(dec.GetU32().value_or(0), 9u);
+  EXPECT_TRUE(dec.AtEnd());
+
+  // The flat bytes decode to the same block by copy.
+  Decoder flat_dec(flat);
+  (void)flat_dec.GetU32();
+  auto copied = flat_dec.GetBlock();
+  ASSERT_TRUE(copied.has_value());
+  EXPECT_EQ(*copied, payload);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, XdrBlockSweep,
+                         ::testing::Values(0, 1, 3, 4095, 32768));
+
+TEST(XdrBlockTest, NestedMessageKeepsSplicesAtTheirWirePositions) {
+  Encoder inner;
+  inner.PutU32(1);
+  inner.PutBlock(BlockRef::Copy(Bytes{4, 5, 6}));
+  const Message body = inner.Finish();
+
+  Encoder outer;
+  outer.PutU32(0xabcd);
+  outer.PutSpliced(body.view(), body.splices());
+  const Message wrapped = outer.Finish();
+  ASSERT_EQ(wrapped.splices().size(), 1u);
+  EXPECT_EQ(wrapped.splices().begin()->pos, 4u + 4u + 8u);
+  EXPECT_EQ(wrapped.WireSize(), 4u + 4u + body.WireSize());
+}
+
+TEST(XdrBlockTest, InlineOpaqueReaderRejectsASplicedField) {
+  Encoder enc;
+  enc.PutBlock(BlockRef::Copy(Bytes(8, 1)));
+  const Message msg = enc.Finish();
+  Decoder dec(msg);
+  auto v = dec.GetOpaque();
+  ASSERT_FALSE(v.has_value());
+  EXPECT_EQ(v.error(), DecodeError::kBadValue);
+}
+
+TEST(XdrBlockTest, SpliceLengthMismatchIsBadValue) {
+  Encoder enc;
+  enc.PutBlock(BlockRef::Copy(Bytes(8, 1)));
+  Message msg = enc.Finish();
+  // Corrupt the inline length word: the splice no longer matches it.
+  Bytes bytes(msg.data(), msg.data() + msg.size());
+  bytes[3] = 9;
+  SpliceList splices = msg.splices();
+  const Message bad(std::move(bytes), 0, 4, std::move(splices));
+  Decoder dec(bad);
+  auto got = dec.GetBlock();
+  ASSERT_FALSE(got.has_value());
+  EXPECT_EQ(got.error(), DecodeError::kBadValue);
+}
+
+// The truncation sweep above, over a spliced message: every strictly-short
+// prefix of the inline bytes (keeping only the splices it still reaches)
+// fails with kTruncated, never reads past the buffer, and never hands out a
+// block the prefix does not contain.
+TEST(XdrTruncationSweep, SplicedMessageEveryShortPrefix) {
+  Encoder enc;
+  enc.PutU32(0xdeadbeef);
+  enc.PutBlock(BlockRef::Copy(Bytes{1, 2, 3, 4, 5}));
+  enc.PutU64(0x0123456789abcdefULL);
+  enc.PutBlock(BlockRef::Copy(Bytes(4095, 7)));
+  enc.PutString("tail");
+  const Message msg = enc.Finish();
+  ASSERT_EQ(msg.splices().size(), 2u);
+
+  for (std::size_t len = 0; len < msg.size(); ++len) {
+    SpliceList kept;
+    for (const Splice& sp : msg.splices()) {
+      if (sp.pos <= len) kept.push_back(sp);
+    }
+    const Message prefix(Bytes(msg.data(), msg.data() + len), 0, len, std::move(kept));
+    Decoder dec(prefix);
+    bool truncated = false;
+    auto step = [&](auto result) {
+      if (truncated) return;
+      if (!result.has_value()) {
+        EXPECT_EQ(result.error(), DecodeError::kTruncated) << "prefix " << len;
+        truncated = true;
+      }
+    };
+    step(dec.GetU32());
+    if (!truncated) step(dec.GetBlock());
+    if (!truncated) step(dec.GetU64());
+    if (!truncated) step(dec.GetBlock());
+    if (!truncated) step(dec.GetString());
+    EXPECT_TRUE(truncated) << "prefix of " << len << " bytes decoded fully";
+  }
+
+  Decoder dec(msg);
+  EXPECT_EQ(dec.GetU32().value_or(0), 0xdeadbeefu);
+  EXPECT_EQ(dec.GetBlock().value_or(BlockRef()), (Bytes{1, 2, 3, 4, 5}));
+  EXPECT_EQ(dec.GetU64().value_or(0), 0x0123456789abcdefULL);
+  EXPECT_EQ(dec.GetBlock().value_or(BlockRef()), Bytes(4095, 7));
+  auto s = dec.GetString();
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->Copy(), "tail");
+  EXPECT_TRUE(dec.AtEnd());
+}
+
 }  // namespace
 }  // namespace gvfs::xdr

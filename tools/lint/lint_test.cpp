@@ -160,6 +160,7 @@ constexpr RuleFixture kRuleFixtures[] = {
     {"iter-after-suspend", true},
     {"lock-across-suspend", true},
     {"detached-task", true},
+    {"data-copy", true},
 };
 
 TEST(RuleFixtures, FirePassSuppressed) {
@@ -225,6 +226,23 @@ TEST(RuleFixtures, HotPathTypeFirePassSuppressedScoped) {
   // flexibility of std::function/std::map is fine where packets don't flow.
   const auto out_of_scope = lint_at("src/gvfs/fixture.cpp", dir / "fire.cpp");
   EXPECT_EQ(CountRule(out_of_scope, "hot-path-type"), 0);
+}
+
+TEST(Rules, DataCopyFiresOncePerCopyAndOnlyOnTheDataPath) {
+  const fs::path fire = kTestdata / "rules" / "data-copy" / "fire.cpp";
+  auto lint_at = [&](const char* rel_path) {
+    Tree tree;
+    FileUnit unit = MakeUnit(rel_path, ReadFile(fire));
+    tree.emplace(unit.rel_path, std::move(unit));
+    return CountRule(LintTree(tree), "data-copy");
+  };
+  // ToBytes, Flatten and two range copies.
+  EXPECT_EQ(lint_at("src/gvfs/fixture.cpp"), 4);
+  EXPECT_EQ(lint_at("src/nfs3/fixture.cpp"), 4);
+  EXPECT_EQ(lint_at("src/fleet/fixture.cpp"), 4);
+  // Elsewhere (the memfs store, tests, benches) copies are legitimate.
+  EXPECT_EQ(lint_at("src/memfs/fixture.cpp"), 0);
+  EXPECT_EQ(lint_at("tests/fixture.cpp"), 0);
 }
 
 TEST(Rules, PlainVariableDiscardIsAllowed) {

@@ -234,6 +234,52 @@ void CheckHotPathType(const FileUnit& unit, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
+// Zero-copy data plane (src/gvfs, src/nfs3, src/fleet)
+// ---------------------------------------------------------------------------
+
+/// True when toks[i] ends a member access: `.` or the `>` of `->`.
+bool EndsMemberAccess(const std::vector<Token>& toks, std::size_t i) {
+  return Is(toks[i], ".") || (Is(toks[i], ">") && i > 0 && Is(toks[i - 1], "-"));
+}
+
+/// data-copy: file data crosses these layers as shared blocks (the block
+/// plane, common/block.h): a received rpc::Body is forwarded as it is, and
+/// READ/WRITE data stays a BlockRef from page cache to memfs. Materializing
+/// a body (`ToBytes()`, `Flatten()`) or range-copying into a fresh `Bytes`
+/// (`Bytes(x.begin(), x.end())`) on this path silently brings back the
+/// per-hop 32 KB copies. Intended copies carry a reasoned suppression.
+void CheckDataCopy(const FileUnit& unit, std::vector<Finding>& out) {
+  const auto& toks = unit.lex.tokens;
+  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
+    if (EndsMemberAccess(toks, i) && AnyOf(toks[i + 1], {"ToBytes", "Flatten"}) &&
+        Is(toks[i + 2], "(")) {
+      Add(out, unit, "data-copy", toks[i + 1].line,
+          "'" + toks[i + 1].text + "()' copies a message body; forward the "
+          "rpc::Body itself or decode its blocks by reference");
+      continue;
+    }
+    if (!IsIdent(toks[i], "Bytes")) continue;
+    // `Bytes(...)`, `Bytes{...}` or `Bytes name(...)` / `Bytes name{...}`.
+    std::size_t open = i + 1;
+    if (toks[open].kind == TokKind::kIdent) ++open;
+    if (open >= toks.size() || !(Is(toks[open], "(") || Is(toks[open], "{"))) continue;
+    const std::string close = Is(toks[open], "(") ? ")" : "}";
+    int depth = 0;
+    for (std::size_t j = open; j < toks.size(); ++j) {
+      if (Is(toks[j], toks[open].text)) ++depth;
+      if (Is(toks[j], close) && --depth == 0) break;
+      if (j + 1 < toks.size() && EndsMemberAccess(toks, j) &&
+          AnyOf(toks[j + 1], {"begin", "data"})) {
+        Add(out, unit, "data-copy", toks[i].line,
+            "range-copying into a fresh 'Bytes' duplicates data the block "
+            "plane shares; pass the BlockRef (or a Slice of it) instead");
+        break;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Suppression hygiene
 // ---------------------------------------------------------------------------
 
@@ -277,6 +323,15 @@ bool InSrcOrBench(const std::string& rel_path) {
 bool InHotPathDirs(const std::string& rel_path) {
   return StartsWith(rel_path, "src/sim/") || StartsWith(rel_path, "src/rpc/");
 }
+
+namespace {
+
+bool InDataPlaneDirs(const std::string& rel_path) {
+  return StartsWith(rel_path, "src/gvfs/") || StartsWith(rel_path, "src/nfs3/") ||
+         StartsWith(rel_path, "src/fleet/");
+}
+
+}  // namespace
 
 namespace {
 
@@ -334,6 +389,10 @@ const std::vector<RuleInfo>& AllRules() {
       {"hot-path-type",
        "std::function/std::map in sim/rpc hot paths; use EventFn/FlatMap",
        CheckHotPathType, nullptr, InHotPathDirs},
+      {"data-copy",
+       "Body/block copies (ToBytes, Flatten, Bytes(x.begin(), ...)) on the "
+       "gvfs/nfs3/fleet data path; pass blocks by reference",
+       CheckDataCopy, nullptr, InDataPlaneDirs},
       {"bad-suppression",
        "Suppressions must name real rules and give a reason",
        CheckBadSuppression, nullptr, nullptr},
